@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dex_core::{compare_modules, GenerationConfig};
-use dex_experiments::parallel::match_pairs_parallel;
+use dex_experiments::parallel::{match_pairs_blocked, BatchConfig};
 use dex_modules::ModuleId;
 use dex_ontology::{ConceptId, Ontology};
 use dex_pool::build_synthetic_pool;
@@ -163,7 +163,17 @@ fn bench_matching_by_catalog(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("cached_parallel", n), &n, |b, _| {
-            b.iter(|| match_pairs_parallel(&universe, &ids, &pool, &config, 8).len())
+            b.iter(|| {
+                match_pairs_blocked(
+                    &universe,
+                    &ids,
+                    &pool,
+                    &config,
+                    &BatchConfig::with_threads(8),
+                )
+                .reports
+                .len()
+            })
         });
     }
     group.finish();

@@ -165,13 +165,14 @@ fn main() {
                     if t == c {
                         continue;
                     }
-                    let _ = dex_core::match_against_examples_cached(
+                    let _ = dex_core::match_against_examples_retrying(
                         target.descriptor(),
                         &report.examples,
                         candidate,
                         &universe.ontology,
                         MappingMode::Strict,
                         session.invocation_cache(),
+                        &dex_modules::Retrier::none(),
                     );
                 }
             }

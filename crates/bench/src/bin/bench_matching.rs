@@ -8,7 +8,7 @@
 //! debug-mode numbers are labeled as such in the `profile` field.
 
 use dex_core::{compare_modules, GenerationConfig, MatchSession};
-use dex_experiments::parallel::match_pairs_parallel;
+use dex_experiments::parallel::{match_pairs_blocked, BatchConfig};
 use dex_modules::ModuleId;
 use dex_ontology::{ConceptId, Ontology};
 use dex_pool::build_synthetic_pool;
@@ -171,7 +171,14 @@ fn main() {
         // executor runs the sweep on the calling thread by design.
         let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
         let start = Instant::now();
-        let matrix = match_pairs_parallel(&universe, &ids, &pool, &config, threads);
+        let matrix = match_pairs_blocked(
+            &universe,
+            &ids,
+            &pool,
+            &config,
+            &BatchConfig::with_threads(threads),
+        )
+        .reports;
         let parallel_ms = start.elapsed().as_secs_f64() * 1_000.0;
         assert_eq!(matrix.len(), serial_pairs);
 

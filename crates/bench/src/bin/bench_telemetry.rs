@@ -14,7 +14,7 @@
 //! exits nonzero so CI treats instrumentation creep as a regression.
 
 use dex_core::GenerationConfig;
-use dex_experiments::parallel::{generate_all_parallel, match_pairs_parallel};
+use dex_experiments::parallel::{generate_all_parallel, match_pairs_blocked, BatchConfig};
 use dex_modules::ModuleId;
 use dex_pool::build_synthetic_pool;
 use std::fmt::Write as _;
@@ -110,11 +110,18 @@ fn main() {
         }),
     );
     let (match_off, match_on) = section(
-        "match_pairs_parallel",
+        "match_pairs_blocked",
         Box::new(|| {
-            std::hint::black_box(match_pairs_parallel(
-                &universe, &match_ids, &pool, &config, threads,
-            ));
+            std::hint::black_box(
+                match_pairs_blocked(
+                    &universe,
+                    &match_ids,
+                    &pool,
+                    &config,
+                    &BatchConfig::with_threads(threads),
+                )
+                .reports,
+            );
         }),
     );
 

@@ -13,14 +13,13 @@
 //!    same combination (shallow pools used to make retries re-invoke the
 //!    exact same inputs — pure waste);
 //! 3. executes the planned invocations in retry waves — attempt 0 for every
-//!    combination, then attempt 1 for the still-unresolved ones, … — so each
-//!    wave's *distinct* vectors can fan out over scoped threads
-//!    ([`GenerationConfig::invoke_threads`]) and route through a shared
-//!    [`InvocationCache`] ([`generate_examples_cached`]);
+//!    combination, then attempt 1 for the still-unresolved ones, … — each
+//!    wave one batch through the caller's [`InvocationCache`] and
+//!    [`Retrier`] ([`generate_examples_retrying`]; [`generate_examples`]
+//!    brings a fresh pair);
 //! 4. assembles the report from the memoized outcomes in combination order,
 //!    so the result is byte-identical to the sequential reference path
-//!    ([`generate_examples_sequential`]) regardless of thread count or cache
-//!    state.
+//!    ([`generate_examples_sequential`]) regardless of cache state.
 
 use crate::error::GenerationError;
 use crate::example::{Binding, DataExample, ExampleSet};
@@ -50,11 +49,6 @@ pub struct GenerationConfig {
     /// modules to obtain *aligned* examples (§6: "we choose the same values
     /// for both i and i′").
     pub value_offset: usize,
-    /// Opt-in invocation parallelism: each retry wave's distinct invocations
-    /// fan out over up to this many scoped threads (`BlackBox` is
-    /// `Send + Sync`). `0` and `1` mean sequential execution. The report is
-    /// identical for every thread count — only wall-clock changes.
-    pub invoke_threads: usize,
     /// How to retry *transient* invocation failures (`Unavailable`/`Fault`)
     /// within one planned attempt. Distinct from
     /// [`retries_per_combination`](GenerationConfig::retries_per_combination),
@@ -70,7 +64,6 @@ impl Default for GenerationConfig {
             max_combinations: 4096,
             retries_per_combination: 3,
             value_offset: 0,
-            invoke_threads: 1,
             retry: RetryPolicy::none(),
         }
     }
@@ -291,9 +284,7 @@ impl<'p> PlannedCombo<'p> {
 fn plan_invocations<'p>(
     plan: &PartitionPlan,
     resolved: &'p [Vec<ResolvedPartition<'p>>],
-    ontology: &Ontology,
 ) -> Vec<PlannedCombo<'p>> {
-    let _ = ontology;
     let mut combos = Vec::new();
     for combo in plan.combinations() {
         let concept_names: Vec<String> = combo
@@ -349,37 +340,36 @@ fn plan_invocations<'p>(
 /// 4. keep combinations that terminate normally as data examples.
 ///
 /// Deterministic: same module, ontology, pool and config always produce the
-/// same report — including under [`GenerationConfig::invoke_threads`]
-/// parallelism, and byte-identical to [`generate_examples_sequential`].
+/// same report, byte-identical to [`generate_examples_sequential`]. Runs
+/// through a fresh [`InvocationCache`] and a [`Retrier`] executing
+/// [`GenerationConfig::retry`]; see [`generate_examples_retrying`] to share
+/// both across generations.
 pub fn generate_examples(
     module: &dyn BlackBox,
     ontology: &Ontology,
     pool: &InstancePool,
     config: &GenerationConfig,
 ) -> Result<GenerationReport, GenerationError> {
-    generate_with(module, ontology, pool, config, None, None)
+    generate_examples_retrying(
+        module,
+        ontology,
+        pool,
+        config,
+        &InvocationCache::new(),
+        &Retrier::new(config.retry),
+    )
 }
 
-/// [`generate_examples`] through a shared [`InvocationCache`]: every distinct
-/// `(module, input vector)` across all callers of the cache — other
-/// generations, other value offsets, matcher replays, repair verification —
-/// is invoked at most once process-wide. The report is byte-identical to the
-/// uncached path; only the number of *actual* module invocations drops.
-pub fn generate_examples_cached(
-    module: &dyn BlackBox,
-    ontology: &Ontology,
-    pool: &InstancePool,
-    config: &GenerationConfig,
-    cache: &InvocationCache,
-) -> Result<GenerationReport, GenerationError> {
-    generate_with(module, ontology, pool, config, Some(cache), None)
-}
-
-/// [`generate_examples_cached`] with an explicit, shared [`Retrier`]: every
-/// transient invocation failure is re-attempted under the retrier's policy
-/// (and against its run-wide budget) before an attempt is recorded as
-/// failed. Callers that share one retrier across many generations — the
-/// experiment fleet, a `MatchSession` — get run-global retry accounting.
+/// [`generate_examples`] through a shared [`InvocationCache`] and a shared
+/// [`Retrier`]. Every distinct `(module, input vector)` across all callers of
+/// the cache — other generations, other value offsets, matcher replays,
+/// repair verification — is invoked at most once process-wide; the report is
+/// byte-identical whatever the cache holds. Every transient invocation
+/// failure is re-attempted under the retrier's policy (and against its
+/// run-wide budget) before an attempt is recorded as failed, so callers that
+/// share one retrier across many generations — the experiment fleet, a
+/// `MatchSession` — get run-global retry accounting. The retrier's policy
+/// applies, not [`GenerationConfig::retry`].
 pub fn generate_examples_retrying(
     module: &dyn BlackBox,
     ontology: &Ontology,
@@ -387,17 +377,6 @@ pub fn generate_examples_retrying(
     config: &GenerationConfig,
     cache: &InvocationCache,
     retrier: &Retrier,
-) -> Result<GenerationReport, GenerationError> {
-    generate_with(module, ontology, pool, config, Some(cache), Some(retrier))
-}
-
-fn generate_with(
-    module: &dyn BlackBox,
-    ontology: &Ontology,
-    pool: &InstancePool,
-    config: &GenerationConfig,
-    cache: Option<&InvocationCache>,
-    retrier: Option<&Retrier>,
 ) -> Result<GenerationReport, GenerationError> {
     let _timer = {
         static MODULE_NS: std::sync::OnceLock<dex_telemetry::Histo> = std::sync::OnceLock::new();
@@ -418,25 +397,14 @@ fn generate_with(
     }
 
     let (resolved, unvalued) = resolve_candidates(&plan, descriptor, ontology, pool, config);
-    let mut planned = plan_invocations(&plan, &resolved, ontology);
+    let mut planned = plan_invocations(&plan, &resolved);
 
-    // One invocation wave per planned attempt; transient-retry policy comes
-    // either from the caller's shared retrier or from the config.
-    let local_retrier;
-    let retrier = match retrier {
-        Some(shared) => shared,
-        None => {
-            local_retrier = Retrier::new(config.retry);
-            &local_retrier
-        }
-    };
     let mut transient_failures = 0usize;
 
     // Execute in retry waves: wave `a` invokes each still-unresolved
     // combination's next planned vector. This invokes exactly the vectors
     // the sequential path would (attempts past the first success are never
-    // materialized), while giving each wave a batch that can fan out over
-    // threads and a shared cache.
+    // materialized), while giving each wave one batch through the cache.
     for _wave in 0..=config.retries_per_combination {
         let pending: Vec<usize> = planned
             .iter()
@@ -456,7 +424,7 @@ fn generate_with(
                     .collect()
             })
             .collect();
-        let outcomes = invoke_all_retrying(module, &vectors, cache, retrier, config.invoke_threads);
+        let outcomes = invoke_all_retrying(module, &vectors, cache, retrier);
         for (&idx, outcome) in pending.iter().zip(outcomes) {
             let combo = &mut planned[idx];
             combo.consumed += 1;
@@ -558,7 +526,7 @@ pub fn generate_examples_sequential(
     }
 
     let (resolved, unvalued) = resolve_candidates(&plan, descriptor, ontology, pool, config);
-    let planned = plan_invocations(&plan, &resolved, ontology);
+    let planned = plan_invocations(&plan, &resolved);
 
     let telemetry_on = dex_telemetry::is_enabled();
     let mut input_offsets: Vec<usize> = Vec::new();
@@ -915,40 +883,36 @@ mod tests {
     }
 
     #[test]
-    fn parallel_invocation_produces_identical_reports() {
-        let (onto, pool) = fixture();
-        let m = seq_kind_module();
-        let serial = generate_examples(&m, &onto, &pool, &GenerationConfig::default()).unwrap();
-        let parallel = generate_examples(
-            &m,
-            &onto,
-            &pool,
-            &GenerationConfig {
-                invoke_threads: 8,
-                ..GenerationConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(serial.examples, parallel.examples);
-        assert_eq!(serial.failed_combinations, parallel.failed_combinations);
-        assert_eq!(serial.invocations, parallel.invocations);
-    }
-
-    #[test]
     fn cached_generation_matches_uncached_and_hits_on_regeneration() {
         let (onto, pool) = fixture();
         let m = seq_kind_module();
         let cache = InvocationCache::new();
         let config = GenerationConfig::default();
         let plain = generate_examples(&m, &onto, &pool, &config).unwrap();
-        let cached = generate_examples_cached(&m, &onto, &pool, &config, &cache).unwrap();
+        let cached = generate_examples_retrying(
+            &m,
+            &onto,
+            &pool,
+            &config,
+            &cache,
+            &Retrier::new(config.retry),
+        )
+        .unwrap();
         assert_eq!(plain.examples, cached.examples);
         assert_eq!(plain.invocations, cached.invocations);
         let first = cache.stats();
         assert_eq!(first.hits, 0);
         assert_eq!(first.misses as usize, plain.invocations);
         // Regenerating is answered entirely from the cache.
-        let again = generate_examples_cached(&m, &onto, &pool, &config, &cache).unwrap();
+        let again = generate_examples_retrying(
+            &m,
+            &onto,
+            &pool,
+            &config,
+            &cache,
+            &Retrier::new(config.retry),
+        )
+        .unwrap();
         assert_eq!(plain.examples, again.examples);
         let second = cache.stats();
         assert_eq!(second.misses, first.misses, "no new module invocations");

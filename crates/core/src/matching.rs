@@ -184,7 +184,8 @@ fn greedy_assign<T>(
 /// gone, only its (provenance-reconstructed) examples remain.
 ///
 /// Returns an error if no parameter mapping exists or the example set is
-/// empty (nothing to compare — no verdict can be honest).
+/// empty (nothing to compare — no verdict can be honest). Runs through a
+/// fresh [`InvocationCache`] and a non-retrying [`Retrier`].
 pub fn match_against_examples(
     target: &ModuleDescriptor,
     examples: &ExampleSet,
@@ -192,38 +193,26 @@ pub fn match_against_examples(
     ontology: &Ontology,
     mode: MappingMode,
 ) -> Result<MatchVerdict, GenerationError> {
-    match_with(target, examples, candidate, ontology, mode, None, None)
-}
-
-/// [`match_against_examples`] through a shared [`InvocationCache`]: each
-/// distinct candidate input vector is invoked at most once across every
-/// replay (and generation) sharing the cache. Same verdicts, fewer
-/// invocations — the replay vectors of an aligned comparison are exactly the
-/// vectors generation already fed the candidate.
-pub fn match_against_examples_cached(
-    target: &ModuleDescriptor,
-    examples: &ExampleSet,
-    candidate: &dyn BlackBox,
-    ontology: &Ontology,
-    mode: MappingMode,
-    cache: &InvocationCache,
-) -> Result<MatchVerdict, GenerationError> {
-    match_with(
+    match_against_examples_retrying(
         target,
         examples,
         candidate,
         ontology,
         mode,
-        Some(cache),
-        None,
+        &InvocationCache::new(),
+        &Retrier::none(),
     )
 }
 
-/// [`match_against_examples_cached`] with an explicit, shared [`Retrier`]:
-/// a replay invocation that fails *transiently* is re-attempted under the
-/// retrier's policy before it is scored as a behavioral disagreement —
-/// a flaky candidate must not look behaviorally different from a healthy
-/// one. Permanent errors still count as disagreements immediately.
+/// [`match_against_examples`] through a shared [`InvocationCache`] and a
+/// shared [`Retrier`]. Each distinct candidate input vector is invoked at
+/// most once across every replay (and generation) sharing the cache — the
+/// replay vectors of an aligned comparison are exactly the vectors
+/// generation already fed the candidate. A replay invocation that fails
+/// *transiently* is re-attempted under the retrier's policy before it is
+/// scored as a behavioral disagreement — a flaky candidate must not look
+/// behaviorally different from a healthy one. Permanent errors still count
+/// as disagreements immediately.
 pub fn match_against_examples_retrying(
     target: &ModuleDescriptor,
     examples: &ExampleSet,
@@ -233,26 +222,6 @@ pub fn match_against_examples_retrying(
     cache: &InvocationCache,
     retrier: &Retrier,
 ) -> Result<MatchVerdict, GenerationError> {
-    match_with(
-        target,
-        examples,
-        candidate,
-        ontology,
-        mode,
-        Some(cache),
-        Some(retrier),
-    )
-}
-
-fn match_with(
-    target: &ModuleDescriptor,
-    examples: &ExampleSet,
-    candidate: &dyn BlackBox,
-    ontology: &Ontology,
-    mode: MappingMode,
-    cache: Option<&InvocationCache>,
-    retrier: Option<&Retrier>,
-) -> Result<MatchVerdict, GenerationError> {
     let mapping = map_parameters(target, candidate.descriptor(), ontology, mode)?;
     if examples.is_empty() {
         return Err(GenerationError::Incomparable(
@@ -261,14 +230,6 @@ fn match_with(
     }
     let mut compared = 0usize;
     let mut agreeing = 0usize;
-    let local_retrier;
-    let retrier = match retrier {
-        Some(shared) => shared,
-        None => {
-            local_retrier = Retrier::none();
-            &local_retrier
-        }
-    };
     for example in examples.iter() {
         compared += 1;
         // Build the candidate's input vector.
@@ -285,15 +246,9 @@ fn match_with(
         };
         // A failed invocation on inputs the target handled is a behavioral
         // disagreement on that example.
-        let agreed = match cache {
-            Some(cache) => match retrier.invoke_cached(cache, candidate, &inputs).as_ref() {
-                Ok(outputs) => all_equal(outputs),
-                Err(_) => false,
-            },
-            None => match retrier.invoke(candidate, &inputs) {
-                Ok(outputs) => all_equal(&outputs),
-                Err(_) => false,
-            },
+        let agreed = match retrier.invoke_cached(cache, candidate, &inputs).as_ref() {
+            Ok(outputs) => all_equal(outputs),
+            Err(_) => false,
         };
         if agreed {
             agreeing += 1;

@@ -1,15 +1,15 @@
-//! Property tests: the planned/cached/parallel generation paths produce
-//! reports identical to the legacy sequential reference path
+//! Property tests: the planned/cached generation paths produce reports
+//! identical to the legacy sequential reference path
 //! (`generate_examples_sequential`) across random module behaviors, pool
 //! depths/seeds, value offsets, and retry budgets.
 //!
-//! This is the determinism contract of the invocation planner: caching and
-//! parallelism may only change *how many times* a module is actually
-//! invoked, never what the generation report says.
+//! This is the determinism contract of the invocation planner: caching may
+//! only change *how many times* a module is actually invoked, never what the
+//! generation report says.
 
 use dex_core::{
-    generate_examples, generate_examples_cached, generate_examples_retrying,
-    generate_examples_sequential, GenerationConfig, GenerationReport,
+    generate_examples, generate_examples_retrying, generate_examples_sequential, GenerationConfig,
+    GenerationReport,
 };
 use dex_modules::{
     FaultPlan, FaultyModule, FnModule, InvocationCache, InvocationError, ModuleDescriptor,
@@ -111,46 +111,43 @@ proptest! {
 
         let oracle = generate_examples_sequential(&module, &ontology, &pool, &config).unwrap();
 
-        // Planned (wave) execution, single-threaded.
+        // Planned (wave) execution.
         let planned = generate_examples(&module, &ontology, &pool, &config).unwrap();
         assert_reports_identical("planned", &planned, &oracle);
 
-        // Planned execution with the opt-in parallel executor.
-        let threaded = generate_examples(
-            &module,
-            &ontology,
-            &pool,
-            &GenerationConfig { invoke_threads: 4, ..config.clone() },
-        )
-        .unwrap();
-        assert_reports_identical("threaded", &threaded, &oracle);
-
         // Cached execution on a cold cache…
         let cache = InvocationCache::new();
-        let cold = generate_examples_cached(&module, &ontology, &pool, &config, &cache).unwrap();
+        let cold = generate_examples_retrying(
+            &module, &ontology, &pool, &config, &cache, &Retrier::new(config.retry),
+        )
+        .unwrap();
         assert_reports_identical("cached/cold", &cold, &oracle);
 
         // …and again on the now-warm cache: zero fresh module invocations,
         // still the identical report.
         let misses_before = cache.stats().misses;
-        let warm = generate_examples_cached(&module, &ontology, &pool, &config, &cache).unwrap();
+        let warm = generate_examples_retrying(
+            &module, &ontology, &pool, &config, &cache, &Retrier::new(config.retry),
+        )
+        .unwrap();
         assert_reports_identical("cached/warm", &warm, &oracle);
         prop_assert_eq!(
             cache.stats().misses, misses_before,
             "warm regeneration must not invoke the module"
         );
 
-        // Cached + parallel at a different offset shares whatever vectors the
-        // offsets have in common and still matches its own oracle.
+        // Cached at a different offset shares whatever vectors the offsets
+        // have in common and still matches its own oracle.
         let shifted = GenerationConfig {
             value_offset: value_offset + 1,
-            invoke_threads: 4,
             ..config.clone()
         };
         let shifted_oracle =
             generate_examples_sequential(&module, &ontology, &pool, &shifted).unwrap();
-        let shifted_cached =
-            generate_examples_cached(&module, &ontology, &pool, &shifted, &cache).unwrap();
+        let shifted_cached = generate_examples_retrying(
+            &module, &ontology, &pool, &shifted, &cache, &Retrier::new(shifted.retry),
+        )
+        .unwrap();
         assert_reports_identical("cached/shifted", &shifted_cached, &shifted_oracle);
     }
 
@@ -235,8 +232,10 @@ proptest! {
         let oracle = generate_examples_sequential(&module, &ontology, &pool, &config).unwrap();
         let cache = InvocationCache::with_capacity(capacity);
         for round in 0..3 {
-            let report =
-                generate_examples_cached(&module, &ontology, &pool, &config, &cache).unwrap();
+            let report = generate_examples_retrying(
+                &module, &ontology, &pool, &config, &cache, &Retrier::new(config.retry),
+            )
+            .unwrap();
             assert_reports_identical(&format!("bounded round {round}"), &report, &oracle);
         }
     }

@@ -255,8 +255,14 @@ pub fn matching_summary(ctx: &Context) -> String {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(4);
     let mut verdicts: BTreeMap<String, usize> = BTreeMap::new();
-    let matrix =
-        crate::parallel::match_pairs_parallel(&ctx.universe, &ids, &ctx.pool, &ctx.config, threads);
+    let matrix = crate::parallel::match_pairs_blocked(
+        &ctx.universe,
+        &ids,
+        &ctx.pool,
+        &ctx.config,
+        &crate::parallel::BatchConfig::with_threads(threads),
+    )
+    .reports;
     for report in matrix.values() {
         let label = match &report.outcome {
             dex_core::MatchOutcome::Verdict(v) => format!("{v:?}").to_lowercase(),

@@ -625,43 +625,6 @@ pub fn match_pairs_exhaustive_in(
     reports
 }
 
-/// Matches every ordered pair of distinct modules in `ids` against each
-/// other — blocked and batched: fingerprint blocking prunes provably
-/// incomparable pairs without invocation, and the surviving pairs run on
-/// the batched chunk executor over `threads` workers (serially below the
-/// measured crossover, where fan-out used to *lose* to the serial sweep).
-///
-/// Target-side example generation goes through one shared [`MatchSession`],
-/// so each module is generated once for the whole run instead of once per
-/// pair. The returned matrix is byte-identical to the exhaustive oracle's.
-pub fn match_pairs_parallel(
-    universe: &Universe,
-    ids: &[ModuleId],
-    pool: &InstancePool,
-    config: &GenerationConfig,
-    threads: usize,
-) -> BTreeMap<(ModuleId, ModuleId), MatchReport> {
-    match_pairs_blocked(
-        universe,
-        ids,
-        pool,
-        config,
-        &BatchConfig::with_threads(threads),
-    )
-    .reports
-}
-
-/// [`match_pairs_parallel`] over every available module of the universe: the
-/// registry-wide all-pairs matching matrix.
-pub fn match_all_parallel(
-    universe: &Universe,
-    pool: &InstancePool,
-    config: &GenerationConfig,
-    threads: usize,
-) -> BTreeMap<(ModuleId, ModuleId), MatchReport> {
-    match_pairs_parallel(universe, &universe.available_ids(), pool, config, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,7 +681,14 @@ mod tests {
         // The matching sweep likewise records the withdrawn module as
         // incomparable instead of panicking.
         let ids = vec![victim.clone(), fleet.reports.keys().next().unwrap().clone()];
-        let matrix = match_pairs_parallel(&universe, &ids, &pool, &config, 2);
+        let matrix = match_pairs_blocked(
+            &universe,
+            &ids,
+            &pool,
+            &config,
+            &BatchConfig::with_threads(2),
+        )
+        .reports;
         assert_eq!(matrix.len(), 2);
         for report in matrix.values() {
             match &report.outcome {
@@ -739,7 +709,14 @@ mod tests {
         // still crosses all five categories.
         let ids: Vec<ModuleId> = universe.available_ids().into_iter().step_by(11).collect();
 
-        let matrix = match_pairs_parallel(&universe, &ids, &pool, &config, 8);
+        let matrix = match_pairs_blocked(
+            &universe,
+            &ids,
+            &pool,
+            &config,
+            &BatchConfig::with_threads(8),
+        )
+        .reports;
         assert_eq!(matrix.len(), ids.len() * (ids.len() - 1));
 
         for ((t, c), report) in &matrix {
@@ -874,8 +851,22 @@ mod tests {
         let pool = build_synthetic_pool(&universe.ontology, 3, 7);
         let config = GenerationConfig::default();
         let ids: Vec<ModuleId> = universe.available_ids().into_iter().step_by(23).collect();
-        let one = match_pairs_parallel(&universe, &ids, &pool, &config, 1);
-        let many = match_pairs_parallel(&universe, &ids, &pool, &config, 8);
+        let one = match_pairs_blocked(
+            &universe,
+            &ids,
+            &pool,
+            &config,
+            &BatchConfig::with_threads(1),
+        )
+        .reports;
+        let many = match_pairs_blocked(
+            &universe,
+            &ids,
+            &pool,
+            &config,
+            &BatchConfig::with_threads(8),
+        )
+        .reports;
         assert_eq!(one, many);
     }
 }

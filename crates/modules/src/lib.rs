@@ -45,7 +45,7 @@ pub mod param;
 pub mod retry;
 
 pub use blackbox::{BlackBox, FnModule, SharedModule};
-pub use cache::{invoke_all_cached, InvocationCache, InvocationCacheStats, InvocationOutcome};
+pub use cache::{InvocationCache, InvocationCacheStats, InvocationOutcome};
 pub use catalog::ModuleCatalog;
 pub use fault::{FaultInjector, FaultPlan, FaultStats, FaultyModule, FlapWindow};
 pub use invoke::InvocationError;

@@ -15,6 +15,7 @@ use crate::blackbox::BlackBox;
 use crate::cache::{InvocationCache, InvocationOutcome};
 use dex_values::Value;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -279,29 +280,7 @@ impl Retrier {
     /// policy. The final outcome (success, permanent error, or the transient
     /// error that survived every attempt) is returned.
     pub fn invoke(&self, module: &dyn BlackBox, inputs: &[Value]) -> InvocationOutcome {
-        let mut retry_idx = 0u32;
-        let mut invoke_span = None;
-        loop {
-            let outcome = {
-                let _attempt = invoke_span
-                    .as_ref()
-                    .map(|_| dex_telemetry::span("retry.attempt"));
-                module.invoke(inputs)
-            };
-            match self.plan_retry(&outcome, retry_idx) {
-                Some(ticks) => {
-                    self.note_retry(module, &mut invoke_span, retry_idx, ticks);
-                    module.advance_ticks(ticks);
-                    retry_idx += 1;
-                }
-                None => {
-                    if retry_idx > 0 {
-                        self.note_exhausted(module, &outcome);
-                    }
-                    return outcome;
-                }
-            }
-        }
+        self.run(module, || module.invoke(inputs))
     }
 
     /// Invokes `module` through `cache`, retrying transient failures.
@@ -315,6 +294,17 @@ impl Retrier {
         module: &dyn BlackBox,
         inputs: &[Value],
     ) -> Arc<InvocationOutcome> {
+        self.run(module, || cache.invoke(module, inputs))
+    }
+
+    /// The retry loop behind [`Retrier::invoke`] and
+    /// [`Retrier::invoke_cached`]: `attempt` performs one invocation of
+    /// `module`, and is re-run after each scheduled backoff.
+    fn run<O: Borrow<InvocationOutcome>>(
+        &self,
+        module: &dyn BlackBox,
+        mut attempt: impl FnMut() -> O,
+    ) -> O {
         let mut retry_idx = 0u32;
         let mut invoke_span = None;
         loop {
@@ -322,9 +312,9 @@ impl Retrier {
                 let _attempt = invoke_span
                     .as_ref()
                     .map(|_| dex_telemetry::span("retry.attempt"));
-                cache.invoke(module, inputs)
+                attempt()
             };
-            match self.plan_retry(&outcome, retry_idx) {
+            match self.plan_retry(outcome.borrow(), retry_idx) {
                 Some(ticks) => {
                     self.note_retry(module, &mut invoke_span, retry_idx, ticks);
                     module.advance_ticks(ticks);
@@ -332,7 +322,7 @@ impl Retrier {
                 }
                 None => {
                     if retry_idx > 0 {
-                        self.note_exhausted(module, &outcome);
+                        self.note_exhausted(module, outcome.borrow());
                     }
                     return outcome;
                 }
@@ -341,42 +331,19 @@ impl Retrier {
     }
 }
 
-/// Fans invocations of one module out over `threads` scoped threads, each
-/// routed through `retrier` and (when given) `cache`. The retrying
-/// counterpart of [`crate::invoke_all_cached`]: one outcome per input
-/// vector, in input order, duplicates invoked at most once when cached.
+/// Invokes one module on each of `vectors` through `cache` and `retrier`,
+/// in order: one outcome per input vector, duplicates invoked at most once.
+/// Every pipeline stage that invokes a batch of vectors goes through here.
 pub fn invoke_all_retrying(
     module: &dyn BlackBox,
     vectors: &[Vec<Value>],
-    cache: Option<&InvocationCache>,
+    cache: &InvocationCache,
     retrier: &Retrier,
-    threads: usize,
 ) -> Vec<Arc<InvocationOutcome>> {
-    let one = |vector: &Vec<Value>| match cache {
-        Some(cache) => retrier.invoke_cached(cache, module, vector),
-        None => Arc::new(retrier.invoke(module, vector)),
-    };
-    let threads = threads.max(1).min(vectors.len());
-    if threads <= 1 {
-        return vectors.iter().map(one).collect();
-    }
-    let mut results: Vec<Option<Arc<InvocationOutcome>>> = vec![None; vectors.len()];
-    let chunk = vectors.len().div_ceil(threads);
-    let ctx = dex_telemetry::current_context();
-    std::thread::scope(|scope| {
-        // Input and output chunks are paired *before* spawning — each worker
-        // owns a disjoint &mut result chunk and exactly its input range.
-        for (vec_chunk, out_chunk) in vectors.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            let one = &one;
-            scope.spawn(move || {
-                let _worker = ctx.span("invoke.wave_worker");
-                for (vector, slot) in vec_chunk.iter().zip(out_chunk) {
-                    *slot = Some(one(vector));
-                }
-            });
-        }
-    });
-    results.into_iter().map(|r| r.expect("filled")).collect()
+    vectors
+        .iter()
+        .map(|vector| retrier.invoke_cached(cache, module, vector))
+        .collect()
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! memoized outcome.
 
 use dex_modules::{
-    invoke_all_cached, BlackBox, FnModule, InvocationCache, InvocationError, ModuleCatalog,
+    invoke_all_retrying, BlackBox, FnModule, InvocationCache, InvocationError, ModuleCatalog,
     ModuleDescriptor, ModuleKind, Parameter, Retrier, RetryPolicy, SharedModule,
 };
 use dex_values::{StructuralType, Value};
@@ -123,11 +123,11 @@ fn racing_readers_share_the_winners_outcome() {
 fn parallel_executor_is_exactly_once_across_duplicate_heavy_input() {
     let (module, counts) = counting_module(std::time::Duration::ZERO);
     let cache = InvocationCache::new();
-    // 96 requests over 8 distinct vectors, fanned over 6 threads.
+    // 96 requests over 8 distinct vectors.
     let vectors: Vec<Vec<Value>> = (0..96)
         .map(|i| vec![Value::text(format!("d{}", i % 8))])
         .collect();
-    let outcomes = invoke_all_cached(&module, &vectors, &cache, 6);
+    let outcomes = invoke_all_retrying(&module, &vectors, &cache, &Retrier::none());
     assert_eq!(outcomes.len(), vectors.len());
     for (vector, outcome) in vectors.iter().zip(&outcomes) {
         let expected = vector[0].as_text().unwrap().to_uppercase();

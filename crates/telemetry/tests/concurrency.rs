@@ -1,5 +1,5 @@
 //! Concurrency guarantees of the metrics registry: counters hammered from
-//! scoped threads (the same parallelism shape as `match_pairs_parallel` and
+//! scoped threads (the same parallelism shape as `match_pairs_blocked` and
 //! `generate_all_parallel`) must not lose a single increment, and first-touch
 //! interning races must resolve to one shared atomic per name.
 

@@ -70,33 +70,30 @@ pub struct EnactmentTrace {
 
 /// Enacts a workflow: executes steps in order, feeding each input from its
 /// link (or `Null` for unfed optional inputs) and capturing a full trace.
+/// Runs through a fresh [`InvocationCache`] and a non-retrying [`Retrier`].
 pub fn enact(
     workflow: &Workflow,
     catalog: &ModuleCatalog,
     inputs: &[Value],
 ) -> Result<EnactmentTrace, EnactError> {
-    enact_with(workflow, catalog, inputs, None, None)
+    enact_retrying(
+        workflow,
+        catalog,
+        inputs,
+        &InvocationCache::new(),
+        &Retrier::none(),
+    )
 }
 
-/// [`enact`] through a shared [`InvocationCache`]: step invocations whose
-/// `(module, input vector)` was already executed — by an earlier enactment
-/// sharing the cache, or by example generation — are answered from the memo.
-/// The trace is identical to an uncached enactment; bulk re-enactment (e.g.
-/// building a provenance corpus over a repository whose workflows share
-/// modules and pool values) skips the repeated work.
-pub fn enact_cached(
-    workflow: &Workflow,
-    catalog: &ModuleCatalog,
-    inputs: &[Value],
-    cache: &InvocationCache,
-) -> Result<EnactmentTrace, EnactError> {
-    enact_with(workflow, catalog, inputs, Some(cache), None)
-}
-
-/// [`enact_cached`] with an explicit, shared [`Retrier`]: a step invocation
-/// that fails *transiently* is re-attempted under the retrier's policy
-/// before the enactment is abandoned. The availability gate still applies —
-/// a step whose module the catalog reports withdrawn fails
+/// [`enact`] through a shared [`InvocationCache`] and a shared [`Retrier`].
+/// Step invocations whose `(module, input vector)` was already executed —
+/// by an earlier enactment sharing the cache, or by example generation — are
+/// answered from the memo. The trace is identical whatever the cache holds;
+/// bulk re-enactment (e.g. building a provenance corpus over a repository
+/// whose workflows share modules and pool values) skips the repeated work.
+/// A step invocation that fails *transiently* is re-attempted under the
+/// retrier's policy before the enactment is abandoned. The availability gate
+/// still applies — a step whose module the catalog reports withdrawn fails
 /// [`EnactError::ModuleUnavailable`] without an invocation, retried or not.
 pub fn enact_retrying(
     workflow: &Workflow,
@@ -104,16 +101,6 @@ pub fn enact_retrying(
     inputs: &[Value],
     cache: &InvocationCache,
     retrier: &Retrier,
-) -> Result<EnactmentTrace, EnactError> {
-    enact_with(workflow, catalog, inputs, Some(cache), Some(retrier))
-}
-
-fn enact_with(
-    workflow: &Workflow,
-    catalog: &ModuleCatalog,
-    inputs: &[Value],
-    cache: Option<&InvocationCache>,
-    retrier: Option<&Retrier>,
 ) -> Result<EnactmentTrace, EnactError> {
     let _span = dex_telemetry::span("workflow.enact");
     let result = enact_inner(workflow, catalog, inputs, cache, retrier);
@@ -141,8 +128,8 @@ fn enact_inner(
     workflow: &Workflow,
     catalog: &ModuleCatalog,
     inputs: &[Value],
-    cache: Option<&InvocationCache>,
-    retrier: Option<&Retrier>,
+    cache: &InvocationCache,
+    retrier: &Retrier,
 ) -> Result<EnactmentTrace, EnactError> {
     if inputs.len() != workflow.inputs.len() {
         return Err(EnactError::Structure(format!(
@@ -186,15 +173,10 @@ fn enact_inner(
             }
             values[link.target_input] = resolve(&link.source, &step_outputs)?;
         }
-        let invoked = match (cache, retrier) {
-            (Some(cache), Some(retrier)) => retrier
-                .invoke_cached(cache, module.as_ref(), &values)
-                .as_ref()
-                .clone(),
-            (Some(cache), None) => cache.invoke(module.as_ref(), &values).as_ref().clone(),
-            (None, Some(retrier)) => retrier.invoke(module.as_ref(), &values),
-            (None, None) => module.invoke(&values),
-        };
+        let invoked = retrier
+            .invoke_cached(cache, module.as_ref(), &values)
+            .as_ref()
+            .clone();
         let outputs = invoked.map_err(|error| EnactError::Invocation {
             step: i,
             module: step.module.clone(),
@@ -342,12 +324,13 @@ mod tests {
         let mut c = catalog();
         let cache = InvocationCache::default();
         let wf = pipeline();
-        let ok = enact_cached(&wf, &c, &[Value::text("ab")], &cache).unwrap();
+        let ok = enact_retrying(&wf, &c, &[Value::text("ab")], &cache, &Retrier::none()).unwrap();
         assert_eq!(ok.outputs, vec![Value::text("abab!")]);
         assert!(cache.stats().entries > 0, "first enactment seeds the cache");
 
         c.withdraw(&"double".into());
-        let err = enact_cached(&wf, &c, &[Value::text("ab")], &cache).unwrap_err();
+        let err =
+            enact_retrying(&wf, &c, &[Value::text("ab")], &cache, &Retrier::none()).unwrap_err();
         assert_eq!(
             err,
             EnactError::ModuleUnavailable {
@@ -357,7 +340,8 @@ mod tests {
         );
 
         c.restore(&"double".into());
-        let again = enact_cached(&wf, &c, &[Value::text("ab")], &cache).unwrap();
+        let again =
+            enact_retrying(&wf, &c, &[Value::text("ab")], &cache, &Retrier::none()).unwrap();
         assert_eq!(again, ok, "restoration re-enables the memoized trace");
     }
 

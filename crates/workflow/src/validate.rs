@@ -1,6 +1,6 @@
 //! Workflow well-formedness and link-compatibility checking.
 
-use crate::enact::{enact_cached, enact_retrying, EnactError, EnactmentTrace};
+use crate::enact::{enact_retrying, EnactError, EnactmentTrace};
 use crate::model::{Source, Workflow};
 use dex_modules::{InvocationCache, ModuleCatalog, Retrier};
 use dex_ontology::Ontology;
@@ -118,23 +118,12 @@ impl std::error::Error for DynamicValidationError {}
 /// `(module, input vector)` once, so enactment-backed validation is cheap
 /// enough to run on every workflow. The successful trace is returned for
 /// callers that also want the provenance.
+///
+/// The dry run re-attempts transiently failing step invocations under
+/// `retrier`'s policy, so a momentary service outage does not condemn a
+/// structurally sound workflow. Permanent failures (arity, rejected input…)
+/// still fail the validation on the first attempt.
 pub fn validate_with_enactment(
-    workflow: &Workflow,
-    catalog: &ModuleCatalog,
-    ontology: &Ontology,
-    sample_inputs: &[Value],
-    cache: &InvocationCache,
-) -> Result<EnactmentTrace, DynamicValidationError> {
-    validate(workflow, catalog, ontology).map_err(DynamicValidationError::Static)?;
-    enact_cached(workflow, catalog, sample_inputs, cache).map_err(DynamicValidationError::Enactment)
-}
-
-/// [`validate_with_enactment`] with an explicit [`Retrier`]: the dry run
-/// re-attempts transiently failing step invocations under the retrier's
-/// policy, so a momentary service outage does not condemn a structurally
-/// sound workflow. Permanent failures (arity, rejected input…) still fail
-/// the validation on the first attempt.
-pub fn validate_with_enactment_retrying(
     workflow: &Workflow,
     catalog: &ModuleCatalog,
     ontology: &Ontology,
@@ -442,21 +431,42 @@ mod tests {
         let onto = mygrid::ontology();
         let c = catalog();
         let cache = InvocationCache::new();
-        let trace =
-            validate_with_enactment(&wf(), &c, &onto, &[Value::text("MKVL")], &cache).unwrap();
+        let trace = validate_with_enactment(
+            &wf(),
+            &c,
+            &onto,
+            &[Value::text("MKVL")],
+            &cache,
+            &Retrier::none(),
+        )
+        .unwrap();
         assert_eq!(trace.steps.len(), 2);
         assert_eq!(cache.stats().misses, 2, "both steps invoked once");
         // Re-validating the same workflow is answered from the memo.
-        let again =
-            validate_with_enactment(&wf(), &c, &onto, &[Value::text("MKVL")], &cache).unwrap();
+        let again = validate_with_enactment(
+            &wf(),
+            &c,
+            &onto,
+            &[Value::text("MKVL")],
+            &cache,
+            &Retrier::none(),
+        )
+        .unwrap();
         assert_eq!(again, trace);
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().hits, 2);
         // A statically broken workflow is rejected before any invocation.
         let mut broken = wf();
         broken.steps[0].module = "ghost".into();
-        let err = validate_with_enactment(&broken, &c, &onto, &[Value::text("MKVL")], &cache)
-            .unwrap_err();
+        let err = validate_with_enactment(
+            &broken,
+            &c,
+            &onto,
+            &[Value::text("MKVL")],
+            &cache,
+            &Retrier::none(),
+        )
+        .unwrap_err();
         assert!(matches!(err, DynamicValidationError::Static(_)));
         assert_eq!(
             cache.stats().misses,

@@ -323,12 +323,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one whole UTF-8 character.
+                    // Copy the whole run of unescaped bytes up to the next
+                    // `"` or `\`. Both are ASCII, so the run ends on a char
+                    // boundary and each byte is validated exactly once.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
                 None => return Err(self.err("unterminated string")),
             }
@@ -433,6 +439,24 @@ mod tests {
         let json = to_string(&s.to_string()).unwrap();
         let back: String = from_str(&json).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn long_mixed_string_decodes_in_linear_time() {
+        let s: String = (0..256 * 1024)
+            .map(|i| match i % 4 {
+                0 => 'a',
+                1 => '\u{e9}',
+                2 => '"',
+                _ => '\n',
+            })
+            .collect();
+        let json = to_string(&s).unwrap();
+        let start = std::time::Instant::now();
+        let back: String = from_str(&json).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(back, s);
+        assert!(elapsed.as_secs_f64() < 5.0, "decode took {elapsed:?}");
     }
 
     #[test]
