@@ -39,7 +39,7 @@
 //!   and on multi-core hosts additionally reflects thread fan-out, which
 //!   the old global-memo-lock path serialized away (the
 //!   `blocked_parallel_ms == blocked_serial_ms` collapse this PR fixes).
-//!   At 25k the bench asserts `parallel_speedup >= 1.0`.
+//!   At 25k the bench gates `parallel_speedup >= 1.0`.
 //!
 //! The synthetic registries amplify the shipped 252-module universe: one
 //! base module per fingerprint bucket (up to 64 distinct interface shapes)
@@ -47,7 +47,8 @@
 //! perturbed so same-shape pairs split across equivalent / overlapping /
 //! disjoint verdicts instead of collapsing into one class.
 
-use dex_bench::amplified_universe;
+use dex_bench::harness::{self, interleave, measure, timed, Bench, Op};
+use dex_bench::{amplified_universe, ordered_pairs};
 use dex_core::{
     FingerprintIndex, GenerationConfig, MatchOutcome, MatchReport, MatchSession, MatchVerdict,
 };
@@ -59,32 +60,24 @@ use dex_experiments::BatchConfig;
 use dex_modules::ModuleId;
 use dex_pool::{build_synthetic_pool, InstancePool};
 use dex_universe::Universe;
+use serde::Serialize;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::time::Instant;
-
-fn ms(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1_000.0
-}
 
 /// Measured cost of standing up and tearing down `workers` scoped threads —
 /// the fixed overhead the batched executor pays before any pair is matched.
 /// Minimum over many reps: spawn cost has a heavy scheduling tail, and the
 /// crossover model wants the floor, not the tail.
 fn spawn_overhead_ms(workers: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..200 {
-        let start = Instant::now();
+    let (samples, ()) = measure(200, 1, || {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| std::hint::black_box(0u64));
             }
-        });
-        best = best.min(ms(start));
-    }
-    best
+        })
+    });
+    samples.min()
 }
 
 /// `(equivalent, overlapping, disjoint, incomparable)` slot of an outcome.
@@ -108,16 +101,11 @@ fn allpairs_tally(
 ) -> [usize; 4] {
     let session = MatchSession::new(&universe.ontology, pool, config.clone());
     let mut tally = [0usize; 4];
-    for t in 0..ids.len() {
-        for c in 0..ids.len() {
-            if t == c {
-                continue;
-            }
-            let target = universe.catalog.get(&ids[t]).expect("available");
-            let candidate = universe.catalog.get(&ids[c]).expect("available");
-            let report = session.compare_report(target.as_ref(), candidate.as_ref());
-            tally[verdict_slot(&report.outcome)] += 1;
-        }
+    for (t, c) in ordered_pairs(ids.len()) {
+        let target = universe.catalog.get(&ids[t]).expect("available");
+        let candidate = universe.catalog.get(&ids[c]).expect("available");
+        let report = session.compare_report(target.as_ref(), candidate.as_ref());
+        tally[verdict_slot(&report.outcome)] += 1;
     }
     tally
 }
@@ -160,29 +148,63 @@ fn perpair_channel(
     })
 }
 
+#[derive(Serialize)]
+struct Report {
+    profile: &'static str,
+    threads: usize,
+    blocked_matching_by_catalog: Vec<CatalogRow>,
+    crossover_threads: usize,
+    crossover: Vec<CrossoverRow>,
+    spawn_overhead_ms: f64,
+    measured_crossover_pairs: Option<usize>,
+    crossover_basis: &'static str,
+    serial_cutoff_pairs: usize,
+    gates: Vec<harness::Gate>,
+}
+
+#[derive(Serialize)]
+struct CatalogRow {
+    modules: usize,
+    pairs_total: usize,
+    pairs_compared: usize,
+    pairs_pruned: usize,
+    prune_ratio: f64,
+    buckets: usize,
+    largest_bucket: usize,
+    allpairs_serial_ms: Option<f64>,
+    blocked_serial_ms: f64,
+    serial_path: &'static str,
+    blocked_parallel_ms: f64,
+    parallel_path: String,
+    perpair_parallel_ms: Option<f64>,
+    parallel_speedup: f64,
+    batched_vs_perpair_speedup: Option<f64>,
+    verdicts: Verdicts,
+}
+
+#[derive(Serialize)]
+struct Verdicts {
+    equivalent: usize,
+    overlapping: usize,
+    disjoint: usize,
+    incomparable: usize,
+}
+
+#[derive(Serialize)]
+struct CrossoverRow {
+    modules: usize,
+    pairs_compared: usize,
+    serial_ms: f64,
+    batched_ms: f64,
+}
+
 fn main() {
-    let mut ci = false;
-    let mut out_path = "BENCH_blocking.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--ci" {
-            ci = true;
-        } else {
-            out_path = arg;
-        }
-    }
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let mut bench = Bench::from_env("bench_blocking", &["--ci"]);
+    let ci = bench.ci();
+    let threads = harness::threads();
     // The crossover sweep's whole point is exercising the spawn path, so it
     // forces at least two workers even on a single-core host.
     let crossover_threads = threads.max(2);
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"profile\": \"{profile}\",").unwrap();
-    writeln!(json, "  \"threads\": {threads},").unwrap();
 
     // --- Catalog-scale sweep ---------------------------------------------
     // 252 = the paper's catalog (natural shape diversity); 2.5k and 25k =
@@ -196,8 +218,8 @@ fn main() {
     } else {
         &[252, 2_500, 25_000]
     };
-    writeln!(json, "  \"blocked_matching_by_catalog\": [").unwrap();
-    for (row, &n) in sizes.iter().enumerate() {
+    let mut catalog_rows = Vec::new();
+    for &n in sizes {
         let universe = if n == 252 {
             dex_universe::build()
         } else {
@@ -223,124 +245,104 @@ fn main() {
         // Warm-up, then alternate the unprepared-serial baseline and the
         // prepared batched executor, keeping each one's minimum.
         let warm = match_pairs_blocked_summary(&universe, &ids, &pool, &config, &serial);
-        let rounds = if n <= 2_500 { 3 } else { 2 };
-        let mut blocked_serial_ms = f64::INFINITY;
-        let mut blocked_parallel_ms = f64::INFINITY;
         let mut summary = warm;
-        for round in 0..rounds {
-            // Alternate which executor goes first each round: whatever
-            // position-dependent cost a round carries (page cache, frequency
-            // ramp) lands on both sides equally.
-            for leg in 0..2 {
-                if (round + leg) % 2 == 0 {
-                    let start = Instant::now();
-                    let s = match_pairs_blocked_summary_unprepared(
-                        &universe, &ids, &pool, &config, &serial,
-                    );
-                    blocked_serial_ms = blocked_serial_ms.min(ms(start));
-                    assert_eq!(warm.tallies(), s.tallies(), "serial sweep unstable at {n}");
-                } else {
-                    let start = Instant::now();
-                    let p = match_pairs_blocked_summary(&universe, &ids, &pool, &config, &batched);
-                    blocked_parallel_ms = blocked_parallel_ms.min(ms(start));
-                    assert_eq!(
-                        warm.tallies(),
-                        p.tallies(),
-                        "serial and batched disagree at {n}"
-                    );
-                    summary = p;
-                }
-            }
-        }
+        let rounds = if n <= 2_500 { 3 } else { 2 };
+        let mut unprepared_serial = || {
+            let s =
+                match_pairs_blocked_summary_unprepared(&universe, &ids, &pool, &config, &serial);
+            assert_eq!(warm.tallies(), s.tallies(), "serial sweep unstable at {n}");
+        };
+        let mut prepared_batched = || {
+            summary = match_pairs_blocked_summary(&universe, &ids, &pool, &config, &batched);
+            assert_eq!(
+                warm.tallies(),
+                summary.tallies(),
+                "serial and batched disagree at {n}"
+            );
+        };
+        let [serial_samples, batched_samples] = interleave(
+            rounds,
+            1,
+            true,
+            [&mut unprepared_serial, &mut prepared_batched],
+        );
+        let (blocked_serial_ms, blocked_parallel_ms) =
+            (serial_samples.min(), batched_samples.min());
 
         // The replaced executor, over the same compared pairs.
-        let perpair_parallel_ms = if n <= 2_500 {
-            let _ = perpair_channel(&universe, &ids, &pairs, &pool, &config, threads);
-            let mut best = f64::INFINITY;
-            for _ in 0..2 {
-                let start = Instant::now();
-                let dense = perpair_channel(&universe, &ids, &pairs, &pool, &config, threads);
-                best = best.min(ms(start));
-                assert_eq!(dense.len(), pairs.len());
-            }
-            Some(best)
-        } else {
-            None
-        };
+        let perpair_parallel_ms = (n <= 2_500).then(|| {
+            let run = || perpair_channel(&universe, &ids, &pairs, &pool, &config, threads);
+            run(); // warm-up
+            let (samples, dense) = measure(2, 1, run);
+            assert_eq!(dense.len(), pairs.len());
+            samples.min()
+        });
 
         // The all-pairs baseline, last in the row so its long serial sweep
         // cannot bleed into the executor timings. Its verdict tally must
         // agree with the blocked summary exactly.
-        let allpairs_serial_ms = if n <= 2_500 {
-            let start = Instant::now();
-            let tally = allpairs_tally(&universe, &ids, &pool, &config);
-            let elapsed = ms(start);
+        let allpairs_serial_ms = (n <= 2_500).then(|| {
+            let (tally, elapsed) = timed(|| allpairs_tally(&universe, &ids, &pool, &config));
             assert_eq!(
                 (tally[0], tally[1], tally[2], tally[3]),
                 summary.tallies(),
                 "blocked summary diverged from the exhaustive sweep at {n}"
             );
-            Some(elapsed)
-        } else {
-            None
-        };
+            elapsed
+        });
 
         let stats = summary.stats;
         // The two columns time *different code paths* by construction —
         // the unprepared pre-rework executor pinned to one thread vs the
         // prepared executor at the host's thread count — so the ratio is a
-        // real end-to-end speedup, not pooled-identical-code noise (the old
-        // report pooled the samples exactly because both columns used to
-        // resolve to the same code on this host).
+        // real end-to-end speedup, not pooled-identical-code noise.
         let parallel_speedup = blocked_serial_ms / blocked_parallel_ms.max(1e-9);
-        // The 25k regression pin (ISSUE 7, tightened by ISSUE 9): the
-        // prepared executor must never lose to the unprepared serial
-        // baseline at the largest scale — and with per-pair lock/lookup
-        // traffic gone it is expected to genuinely win (> 1.0).
-        if n == 25_000 {
-            assert!(
-                parallel_speedup >= 1.0,
-                "parallel regression at 25k: speedup {parallel_speedup:.3} < 1.0 \
-                 (serial {blocked_serial_ms:.1}ms vs batched {blocked_parallel_ms:.1}ms)"
+        let (compared, parallel) = (stats.pairs_compared as f64, blocked_parallel_ms);
+        if n == 2_500 {
+            let ratio = compared / stats.pairs_total as f64;
+            bench.gate("pairs_compared/pairs_total@2500", Op::Lt, 0.5, ratio);
+            let serial = blocked_serial_ms;
+            bench.gate(
+                "blocked_parallel_ms@2500 vs blocked_serial",
+                Op::Lt,
+                serial,
+                parallel,
             );
         }
-        let comma = if row + 1 < sizes.len() { "," } else { "" };
-        let fmt_opt = |v: Option<f64>| {
-            v.map(|v| format!("{v:.2}"))
-                .unwrap_or_else(|| "null".to_string())
-        };
-        writeln!(
-            json,
-            "    {{\"modules\": {n}, \"pairs_total\": {}, \"pairs_compared\": {}, \
-             \"pairs_pruned\": {}, \"prune_ratio\": {:.4}, \"buckets\": {}, \
-             \"largest_bucket\": {}, \"allpairs_serial_ms\": {}, \
-             \"blocked_serial_ms\": {blocked_serial_ms:.2}, \
-             \"serial_path\": \"unprepared_1_thread\", \
-             \"blocked_parallel_ms\": {blocked_parallel_ms:.2}, \
-             \"parallel_path\": \"prepared_{threads}_threads\", \
-             \"perpair_parallel_ms\": {}, \
-             \"parallel_speedup\": {:.2}, \
-             \"batched_vs_perpair_speedup\": {}, \
-             \"verdicts\": {{\"equivalent\": {}, \"overlapping\": {}, \"disjoint\": {}, \
-             \"incomparable\": {}}}}}{comma}",
-            stats.pairs_total,
-            stats.pairs_compared,
-            stats.pairs_pruned,
-            stats.prune_ratio(),
-            stats.buckets,
-            stats.largest_bucket,
-            fmt_opt(allpairs_serial_ms),
-            fmt_opt(perpair_parallel_ms),
+        if let Some(perpair) = perpair_parallel_ms {
+            let metric = format!("blocked_parallel_ms@{n} vs perpair_parallel");
+            bench.gate(metric, Op::Lt, perpair, parallel);
+        }
+        // The 25k regression pin: the prepared executor must never lose to
+        // the unprepared serial baseline at the largest scale.
+        if n == 25_000 {
+            bench.gate("parallel_speedup@25000", Op::Ge, 1.0, parallel_speedup);
+        }
+        catalog_rows.push(CatalogRow {
+            modules: n,
+            pairs_total: stats.pairs_total,
+            pairs_compared: stats.pairs_compared,
+            pairs_pruned: stats.pairs_pruned,
+            prune_ratio: stats.prune_ratio(),
+            buckets: stats.buckets,
+            largest_bucket: stats.largest_bucket,
+            allpairs_serial_ms,
+            blocked_serial_ms,
+            serial_path: "unprepared_1_thread",
+            blocked_parallel_ms,
+            parallel_path: format!("prepared_{threads}_threads"),
+            perpair_parallel_ms,
             parallel_speedup,
-            fmt_opt(perpair_parallel_ms.map(|v| v / blocked_parallel_ms.max(1e-9))),
-            summary.equivalent,
-            summary.overlapping,
-            summary.disjoint,
-            summary.incomparable,
-        )
-        .unwrap();
+            batched_vs_perpair_speedup: perpair_parallel_ms
+                .map(|v| v / blocked_parallel_ms.max(1e-9)),
+            verdicts: Verdicts {
+                equivalent: summary.equivalent,
+                overlapping: summary.overlapping,
+                disjoint: summary.disjoint,
+                incomparable: summary.incomparable,
+            },
+        });
     }
-    writeln!(json, "  ],").unwrap();
 
     // --- Serial/parallel crossover sweep ---------------------------------
     // Slices of the 2.5k registry with growing compared-pair counts, each
@@ -348,7 +350,7 @@ fn main() {
     // two workers, so the spawn path actually runs). The smallest
     // compared-pair count where batched wins is the measured crossover
     // behind `BatchConfig::SERIAL_CUTOFF_PAIRS`; on a single-core host no
-    // such count exists and the sweep reports `null`.
+    // such count exists and the overhead model below stands in.
     let universe = amplified_universe(2_500);
     let pool = build_synthetic_pool(&universe.ontology, 3, 42);
     let all_ids = universe.available_ids();
@@ -360,11 +362,10 @@ fn main() {
     } else {
         &[128, 192, 256, 384, 512, 768]
     };
-    writeln!(json, "  \"crossover_threads\": {crossover_threads},").unwrap();
-    writeln!(json, "  \"crossover\": [").unwrap();
+    let mut crossover_rows = Vec::new();
     let mut crossover_pairs: Option<usize> = None;
     let mut best_perpair: Option<(usize, f64)> = None;
-    for (row, &m) in slice_sizes.iter().enumerate() {
+    for &m in slice_sizes {
         let ids: Vec<ModuleId> = all_ids.iter().take(m).cloned().collect();
         let forced_serial = BatchConfig {
             threads: 1,
@@ -378,36 +379,18 @@ fn main() {
         };
         // Warm the generation memo out of the timings with a throwaway run,
         // then alternate the executors and keep each one's minimum.
-        let warm = match_pairs_blocked_summary(&universe, &ids, &pool, &config, &forced_serial);
-        let mut serial_ms = f64::INFINITY;
-        let mut batched_ms = f64::INFINITY;
-        for round in 0..2 {
-            for leg in 0..2 {
-                if (round + leg) % 2 == 0 {
-                    let start = Instant::now();
-                    let serial = match_pairs_blocked_summary(
-                        &universe,
-                        &ids,
-                        &pool,
-                        &config,
-                        &forced_serial,
-                    );
-                    serial_ms = serial_ms.min(ms(start));
-                    assert_eq!(warm.tallies(), serial.tallies());
-                } else {
-                    let start = Instant::now();
-                    let batched = match_pairs_blocked_summary(
-                        &universe,
-                        &ids,
-                        &pool,
-                        &config,
-                        &forced_batched,
-                    );
-                    batched_ms = batched_ms.min(ms(start));
-                    assert_eq!(warm.tallies(), batched.tallies());
-                }
-            }
-        }
+        let sweep = |batch| match_pairs_blocked_summary(&universe, &ids, &pool, &config, batch);
+        let warm = sweep(&forced_serial);
+        let [serial_samples, batched_samples] = interleave(
+            2,
+            1,
+            true,
+            [
+                &mut || assert_eq!(warm.tallies(), sweep(&forced_serial).tallies()),
+                &mut || assert_eq!(warm.tallies(), sweep(&forced_batched).tallies()),
+            ],
+        );
+        let (serial_ms, batched_ms) = (serial_samples.min(), batched_samples.min());
         let pairs = warm.stats.pairs_compared;
         if pairs > 0 && batched_ms < serial_ms && crossover_pairs.is_none() {
             crossover_pairs = Some(pairs);
@@ -417,63 +400,46 @@ fn main() {
         if pairs > 0 && best_perpair.is_none_or(|(p, _)| pairs > p) {
             best_perpair = Some((pairs, serial_ms / pairs as f64));
         }
-        let comma = if row + 1 < slice_sizes.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{\"modules\": {m}, \"pairs_compared\": {pairs}, \
-             \"serial_ms\": {serial_ms:.2}, \"batched_ms\": {batched_ms:.2}}}{comma}"
-        )
-        .unwrap();
+        crossover_rows.push(CrossoverRow {
+            modules: m,
+            pairs_compared: pairs,
+            serial_ms,
+            batched_ms,
+        });
     }
-    writeln!(json, "  ],").unwrap();
 
-    // --- Crossover derivation (ISSUE 7 satellite) -------------------------
-    // `measured_crossover_pairs` must be NON-NULL: either the first sweep
-    // size where batched actually beat serial ("observed"), or — when no
-    // such size exists, the unavoidable outcome on a single-core host where
-    // extra workers add overhead and no parallelism — a spawn-overhead
-    // model ("overhead_model"): batched pays a fixed measured spawn/join
-    // cost and, with `w` workers, removes a `1 - 1/w` fraction of the
-    // serial work, so it breaks even at
+    // --- Crossover derivation ----------------------------------------------
+    // `measured_crossover_pairs` is either the first sweep size where
+    // batched actually beat serial ("observed"), or — when no such size
+    // exists, the unavoidable outcome on a single-core host where extra
+    // workers add overhead and no parallelism — a spawn-overhead model
+    // ("overhead_model"): batched pays a fixed measured spawn/join cost
+    // and, with `w` workers, removes a `1 - 1/w` fraction of the serial
+    // work, so it breaks even at
     //   spawn_ms / (per_pair_ms * (1 - 1/w))
-    // compared pairs. If neither derivation is computable the bench FAILS
-    // rather than emitting null.
+    // compared pairs. A crossover neither derivation can compute is null,
+    // and null fails the cutoff gate.
     let spawn_ms = spawn_overhead_ms(crossover_threads);
     let (derived_crossover, crossover_basis) = match crossover_pairs {
-        Some(observed) => (observed, "observed"),
+        Some(observed) => (Some(observed), "observed"),
         None => {
-            let Some((_, per_pair_ms)) = best_perpair.filter(|&(_, t)| t > 0.0) else {
-                eprintln!("bench_blocking: no crossover observed and no per-pair cost measured");
-                std::process::exit(1);
-            };
             let workers = crossover_threads as f64;
-            let modeled = spawn_ms / (per_pair_ms * (1.0 - 1.0 / workers));
-            if !modeled.is_finite() {
-                eprintln!("bench_blocking: overhead model not computable");
-                std::process::exit(1);
-            }
-            (modeled.ceil() as usize, "overhead_model")
+            let modeled = best_perpair
+                .filter(|&(_, t)| t > 0.0)
+                .map(|(_, per_pair_ms)| spawn_ms / (per_pair_ms * (1.0 - 1.0 / workers)))
+                .filter(|m| m.is_finite());
+            (modeled.map(|m| m.ceil() as usize), "overhead_model")
         }
     };
     // Regression pin: the shipped cutoff must sit at or above the derived
     // crossover — a constant below it would fan out in a measured-loss
     // region on this host.
-    assert!(
-        BatchConfig::SERIAL_CUTOFF_PAIRS >= derived_crossover,
-        "stale serial cutoff: shipped {} < derived crossover {} ({crossover_basis})",
-        BatchConfig::SERIAL_CUTOFF_PAIRS,
-        derived_crossover
+    bench.gate(
+        "measured_crossover_pairs vs SERIAL_CUTOFF_PAIRS",
+        Op::Le,
+        BatchConfig::SERIAL_CUTOFF_PAIRS as f64,
+        derived_crossover.map_or(f64::NAN, |c| c as f64),
     );
-    writeln!(json, "  \"spawn_overhead_ms\": {spawn_ms:.4},").unwrap();
-    writeln!(json, "  \"measured_crossover_pairs\": {derived_crossover},").unwrap();
-    writeln!(json, "  \"crossover_basis\": \"{crossover_basis}\",").unwrap();
-    writeln!(
-        json,
-        "  \"serial_cutoff_pairs\": {}",
-        BatchConfig::SERIAL_CUTOFF_PAIRS
-    )
-    .unwrap();
-    json.push_str("}\n");
 
     // Sanity tie-back to the dense path at paper scale: the matrix agrees
     // with the exhaustive oracle (the proptest suite covers this broadly;
@@ -491,7 +457,16 @@ fn main() {
     );
     assert_eq!(oracle, blocked.reports, "dense blocked matrix diverged");
 
-    std::fs::write(&out_path, &json).expect("write summary");
-    print!("{json}");
-    eprintln!("wrote {out_path}");
+    bench.finish(|gates| Report {
+        profile: harness::profile(),
+        threads,
+        blocked_matching_by_catalog: catalog_rows,
+        crossover_threads,
+        crossover: crossover_rows,
+        spawn_overhead_ms: spawn_ms,
+        measured_crossover_pairs: derived_crossover,
+        crossover_basis,
+        serial_cutoff_pairs: BatchConfig::SERIAL_CUTOFF_PAIRS,
+        gates,
+    });
 }

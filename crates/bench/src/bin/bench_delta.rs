@@ -14,8 +14,9 @@
 //!   The engine signature-checks the concept's dependent modules; with the
 //!   bench's depth-6 pool the append lands beyond every candidate-probe
 //!   window, so the signatures *prove* zero cells dirty and the whole
-//!   matrix carries forward. This is the gated workload: apply must beat
-//!   the cold run by >= 10x at 2.5k while recomputing < 5% of cells.
+//!   matrix carries forward. This is the gated workload: it may recompute
+//!   at most 5% of cells at any size, and at 2.5k apply must beat the cold
+//!   run by >= 10x while recomputing < 5% of cells.
 //! - **churn_1pct** — ~1% of pool instances removed at occurrence 0 and
 //!   replaced with fresh values: bucket heads shift, signatures really
 //!   change, dirty modules regenerate (through the warm invocation cache)
@@ -33,6 +34,7 @@
 //! scale.
 
 use dex_bench::amplified_universe;
+use dex_bench::harness::{self, measure, timed, Bench, Op};
 use dex_core::delta::{Delta, DeltaReport};
 use dex_core::GenerationConfig;
 use dex_experiments::parallel::{generate_fleet, match_pairs_blocked, match_pairs_blocked_summary};
@@ -40,8 +42,7 @@ use dex_experiments::{BatchConfig, IncrementalPipeline};
 use dex_modules::Retrier;
 use dex_pool::{build_synthetic_pool, AnnotatedInstance};
 use dex_values::Value;
-use std::fmt::Write as _;
-use std::time::Instant;
+use serde::Serialize;
 
 /// Pool depth for the delta bench: deep enough that appending an instance
 /// to a bucket's tail sits beyond the generator's candidate-probe window
@@ -49,65 +50,75 @@ use std::time::Instant;
 /// check is supposed to prove clean.
 const POOL_DEPTH: usize = 6;
 
-fn ms(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1_000.0
+#[derive(Serialize)]
+struct Report {
+    profile: &'static str,
+    threads: usize,
+    pool_depth: usize,
+    delta_by_catalog: Vec<CatalogRow>,
+    gates: Vec<harness::Gate>,
 }
 
-fn workload_json(name: &str, apply_ms: f64, cold_ms: f64, r: &DeltaReport) -> String {
-    format!(
-        "{{\"workload\": \"{name}\", \"apply_ms\": {apply_ms:.2}, \
-         \"speedup_vs_cold\": {:.1}, \"events\": {}, \"dirty_candidates\": {}, \
-         \"regenerated_modules\": {}, \"cells_total\": {}, \"cells_dirty\": {}, \
-         \"dirty_cell_ratio\": {:.4}, \"examples_changed\": {}, \
-         \"fingerprints_changed\": {}, \"recomputed_pairs\": {}, \
-         \"carried_forward\": {}, \"dropped_pairs\": {}}}",
-        cold_ms / apply_ms.max(1e-9),
-        r.events,
-        r.dirty_candidates,
-        r.regenerated_modules,
-        r.cells_total,
-        r.cells_dirty,
-        r.dirty_cell_ratio(),
-        r.examples_changed,
-        r.fingerprints_changed,
-        r.recomputed_pairs,
-        r.carried_forward,
-        r.dropped_pairs,
-    )
+#[derive(Serialize)]
+struct CatalogRow {
+    modules: usize,
+    bootstrap_ms: f64,
+    cold_full_ms: f64,
+    workloads: Vec<WorkloadRow>,
+}
+
+#[derive(Serialize)]
+struct WorkloadRow {
+    workload: &'static str,
+    apply_ms: f64,
+    speedup_vs_cold: f64,
+    events: usize,
+    dirty_candidates: usize,
+    regenerated_modules: usize,
+    cells_total: usize,
+    cells_dirty: usize,
+    dirty_cell_ratio: f64,
+    examples_changed: usize,
+    fingerprints_changed: usize,
+    recomputed_pairs: usize,
+    carried_forward: usize,
+    dropped_pairs: usize,
+}
+
+impl WorkloadRow {
+    fn new(workload: &'static str, apply_ms: f64, cold_ms: f64, r: &DeltaReport) -> WorkloadRow {
+        WorkloadRow {
+            workload,
+            apply_ms,
+            speedup_vs_cold: cold_ms / apply_ms.max(1e-9),
+            events: r.events,
+            dirty_candidates: r.dirty_candidates,
+            regenerated_modules: r.regenerated_modules,
+            cells_total: r.cells_total,
+            cells_dirty: r.cells_dirty,
+            dirty_cell_ratio: r.dirty_cell_ratio(),
+            examples_changed: r.examples_changed,
+            fingerprints_changed: r.fingerprints_changed,
+            recomputed_pairs: r.recomputed_pairs,
+            carried_forward: r.carried_forward,
+            dropped_pairs: r.dropped_pairs,
+        }
+    }
 }
 
 fn main() {
-    let mut ci = false;
-    let mut out_path = "BENCH_delta.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--ci" {
-            ci = true;
-        } else {
-            out_path = arg;
-        }
-    }
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
+    let mut bench = Bench::from_env("bench_delta", &["--ci"]);
+    let threads = harness::threads();
     let config = GenerationConfig::default();
     let batch = BatchConfig::with_threads(threads);
-    let sizes: &[usize] = if ci {
+    let sizes: &[usize] = if bench.ci() {
         &[252, 2_500]
     } else {
         &[252, 2_500, 25_000]
     };
 
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"profile\": \"{profile}\",").unwrap();
-    writeln!(json, "  \"threads\": {threads},").unwrap();
-    writeln!(json, "  \"pool_depth\": {POOL_DEPTH},").unwrap();
-    writeln!(json, "  \"delta_by_catalog\": [").unwrap();
-
-    let mut gate_failures: Vec<String> = Vec::new();
-    for (row, &n) in sizes.iter().enumerate() {
+    let mut rows = Vec::new();
+    for &n in sizes {
         let universe = if n == 252 {
             dex_universe::build()
         } else {
@@ -121,20 +132,19 @@ fn main() {
         // the blocked matching summary. Two reps at small sizes (min), one
         // at 25k.
         let reps = if n <= 2_500 { 2 } else { 1 };
-        let mut cold_full_ms = f64::INFINITY;
-        for _ in 0..reps {
-            let start = Instant::now();
+        let (cold, (fleet, summary)) = measure(reps, 1, || {
             let retrier = Retrier::new(config.retry);
             let fleet = generate_fleet(&universe, &pool, &config, threads, &retrier, true);
             let summary = match_pairs_blocked_summary(&universe, &ids, &pool, &config, &batch);
-            cold_full_ms = cold_full_ms.min(ms(start));
-            assert!(!fleet.reports.is_empty());
-            assert!(summary.stats.pairs_total > 0);
-        }
+            (fleet, summary)
+        });
+        let cold_full_ms = cold.min();
+        assert!(!fleet.reports.is_empty());
+        assert!(summary.stats.pairs_total > 0);
+        drop(fleet);
 
-        let start = Instant::now();
-        let mut engine = IncrementalPipeline::bootstrap(universe, pool, config.clone());
-        let bootstrap_ms = ms(start);
+        let (mut engine, bootstrap_ms) =
+            timed(|| IncrementalPipeline::bootstrap(universe, pool, config.clone()));
 
         let concepts: Vec<String> = engine
             .pool()
@@ -147,9 +157,7 @@ fn main() {
         let deltas = [Delta::PoolInsert {
             instance: AnnotatedInstance::synthetic(Value::text("GATTACA-delta-0"), "DNASequence"),
         }];
-        let start = Instant::now();
-        let single = engine.apply(&deltas);
-        let single_ms = ms(start);
+        let (single, single_ms) = timed(|| engine.apply(&deltas));
 
         // --- churn_1pct ---------------------------------------------------
         let churn = (engine.pool().len() / 100).max(1);
@@ -167,9 +175,7 @@ fn main() {
                 ),
             });
         }
-        let start = Instant::now();
-        let churn_report = engine.apply(&deltas);
-        let churn_ms = ms(start);
+        let (churn_report, churn_ms) = timed(|| engine.apply(&deltas));
 
         // --- flap_window --------------------------------------------------
         let flapping: Vec<_> = engine
@@ -187,10 +193,7 @@ fn main() {
             .iter()
             .map(|id| Delta::ModuleRestore { id: id.clone() })
             .collect();
-        let start = Instant::now();
-        let down = engine.apply(&withdraw);
-        let up = engine.apply(&restore);
-        let flap_ms = ms(start);
+        let ((down, up), flap_ms) = timed(|| (engine.apply(&withdraw), engine.apply(&restore)));
         let flap_report = DeltaReport {
             events: down.events + up.events,
             dirty_candidates: down.dirty_candidates + up.dirty_candidates,
@@ -204,23 +207,22 @@ fn main() {
             dropped_pairs: down.dropped_pairs + up.dropped_pairs,
         };
 
-        // Gates (enforced at 2.5k, the acceptance scale): a single pool
-        // insert must beat the cold run by >= 10x while recomputing < 5%
-        // of cells.
+        // A single pool insert recomputes at most 5% of cells at every
+        // size; at 2.5k, the acceptance scale, strictly under 5% and at
+        // least 10x faster than the cold run.
+        bench.gate(
+            format!("single_insert.dirty_cell_ratio@{n}"),
+            if n == 2_500 { Op::Lt } else { Op::Le },
+            0.05,
+            single.dirty_cell_ratio(),
+        );
         if n == 2_500 {
-            let speedup = cold_full_ms / single_ms.max(1e-9);
-            if speedup < 10.0 {
-                gate_failures.push(format!(
-                    "single_insert at 2.5k: {speedup:.1}x < 10x (apply {single_ms:.1}ms \
-                     vs cold {cold_full_ms:.1}ms)"
-                ));
-            }
-            if single.dirty_cell_ratio() >= 0.05 {
-                gate_failures.push(format!(
-                    "single_insert at 2.5k recomputed {:.2}% of cells (>= 5%)",
-                    single.dirty_cell_ratio() * 100.0
-                ));
-            }
+            bench.gate(
+                "single_insert.speedup_vs_cold@2500",
+                Op::Ge,
+                10.0,
+                cold_full_ms / single_ms.max(1e-9),
+            );
         }
 
         // Equivalence tie-back at paper scale: the maintained matrix equals
@@ -235,29 +237,23 @@ fn main() {
             );
         }
 
-        let comma = if row + 1 < sizes.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{\"modules\": {n}, \"bootstrap_ms\": {bootstrap_ms:.2}, \
-             \"cold_full_ms\": {cold_full_ms:.2}, \"workloads\": [\n      {},\n      {},\n      {}\n    ]}}{comma}",
-            workload_json("single_insert", single_ms, cold_full_ms, &single),
-            workload_json("churn_1pct", churn_ms, cold_full_ms, &churn_report),
-            workload_json("flap_window", flap_ms, cold_full_ms, &flap_report),
-        )
-        .unwrap();
-    }
-    writeln!(json, "  ]").unwrap();
-    json.push_str("}\n");
-
-    if !gate_failures.is_empty() {
-        print!("{json}");
-        for failure in &gate_failures {
-            eprintln!("bench_delta gate failed: {failure}");
-        }
-        std::process::exit(1);
+        rows.push(CatalogRow {
+            modules: n,
+            bootstrap_ms,
+            cold_full_ms,
+            workloads: vec![
+                WorkloadRow::new("single_insert", single_ms, cold_full_ms, &single),
+                WorkloadRow::new("churn_1pct", churn_ms, cold_full_ms, &churn_report),
+                WorkloadRow::new("flap_window", flap_ms, cold_full_ms, &flap_report),
+            ],
+        });
     }
 
-    std::fs::write(&out_path, &json).expect("write summary");
-    print!("{json}");
-    eprintln!("wrote {out_path}");
+    bench.finish(|gates| Report {
+        profile: harness::profile(),
+        threads,
+        pool_depth: POOL_DEPTH,
+        delta_by_catalog: rows,
+        gates,
+    });
 }

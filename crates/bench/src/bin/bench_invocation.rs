@@ -9,12 +9,13 @@
 //! [`MatchSession`] whose generations and replays share an
 //! [`InvocationCache`].
 //!
-//! Exits nonzero if the cache records zero hits on this workload — that
-//! would mean the planner's sharing is broken, and CI treats it as a
-//! regression.
+//! Gate: the cache must record hits on this workload — zero would mean the
+//! planner's sharing is broken, and CI treats it as a regression.
 //!
 //! Usage: `cargo run --release -p dex-bench --bin bench_invocation [OUT.json]`
 
+use dex_bench::harness::{self, measure, Bench, Op};
+use dex_bench::ordered_pairs;
 use dex_core::{
     generate_examples_sequential, match_against_examples, GenerationConfig, GenerationReport,
     MappingMode, MatchSession,
@@ -22,11 +23,10 @@ use dex_core::{
 use dex_modules::{BlackBox, InvocationError, ModuleDescriptor, ModuleId, SharedModule};
 use dex_pool::build_synthetic_pool;
 use dex_values::Value;
+use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Wraps a catalog module, counting every invocation that actually reaches
 /// the black box (cache hits never get here).
@@ -46,15 +46,41 @@ impl BlackBox for Counted {
     }
 }
 
+#[derive(Serialize)]
+struct Report {
+    profile: &'static str,
+    aligned_matching: AlignedMatching,
+    gates: Vec<harness::Gate>,
+}
+
+#[derive(Serialize)]
+struct AlignedMatching {
+    modules: usize,
+    offsets: usize,
+    ordered_pairs: usize,
+    uncached: Uncached,
+    cached: Cached,
+    invocation_drop_pct: f64,
+}
+
+#[derive(Serialize)]
+struct Uncached {
+    module_invocations: u64,
+    ms: f64,
+}
+
+#[derive(Serialize)]
+struct Cached {
+    module_invocations: u64,
+    ms: f64,
+    cache_hits: u64,
+    cache_misses: u64,
+    cache_entries: usize,
+    hit_rate_pct: f64,
+}
+
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_invocation.json".to_string());
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
+    let mut bench = Bench::from_env("bench_invocation", &[]);
 
     let universe = dex_universe::build();
     let pool = build_synthetic_pool(
@@ -101,20 +127,13 @@ fn main() {
     // session+cache); wall-clock is the median of `REPS` runs, invocation
     // counts come from the last run (they are identical across runs).
     const REPS: usize = 5;
-    let median_ms = |times: &mut Vec<f64>| {
-        times.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-        times[times.len() / 2]
-    };
 
     // --- Baseline: pre-planner pipeline ----------------------------------
     // Generation memoized per (module, offset) — the old MatchSession did
     // that much — but produced by the sequential loop, and every replay
     // re-invokes the candidate.
-    let mut uncached_times = Vec::with_capacity(REPS);
-    let mut uncached_invocations = 0;
-    for _ in 0..REPS {
+    let (uncached, _reports) = measure(REPS, 1, || {
         counter.store(0, Ordering::Relaxed);
-        let start = Instant::now();
         let mut reports: HashMap<(usize, usize), GenerationReport> = HashMap::new();
         for offset in 0..offsets {
             let config = GenerationConfig {
@@ -127,33 +146,23 @@ fn main() {
                         .unwrap_or_else(|e| panic!("{}: {e}", ids[i]));
                 reports.insert((offset, i), report);
             }
-            for (t, target) in modules.iter().enumerate() {
-                for (c, candidate) in modules.iter().enumerate() {
-                    if t == c {
-                        continue;
-                    }
-                    let _ = match_against_examples(
-                        target.descriptor(),
-                        &reports[&(offset, t)].examples,
-                        candidate,
-                        &universe.ontology,
-                        MappingMode::Strict,
-                    );
-                }
+            for (t, c) in ordered_pairs(modules.len()) {
+                let _ = match_against_examples(
+                    modules[t].descriptor(),
+                    &reports[&(offset, t)].examples,
+                    &modules[c],
+                    &universe.ontology,
+                    MappingMode::Strict,
+                );
             }
         }
-        uncached_times.push(start.elapsed().as_secs_f64() * 1_000.0);
-        uncached_invocations = counter.load(Ordering::Relaxed);
-    }
-    let uncached_ms = median_ms(&mut uncached_times);
+        reports
+    });
+    let uncached_invocations = counter.load(Ordering::Relaxed);
 
     // --- Cached: the planner pipeline ------------------------------------
-    let mut cached_times = Vec::with_capacity(REPS);
-    let mut cached_invocations = 0;
-    let mut stats = dex_modules::InvocationCacheStats::default();
-    for _ in 0..REPS {
+    let (cached, session) = measure(REPS, 1, || {
         counter.store(0, Ordering::Relaxed);
-        let start = Instant::now();
         let session = MatchSession::new(&universe.ontology, &pool, config.clone());
         for offset in 0..offsets {
             for (t, target) in modules.iter().enumerate() {
@@ -177,11 +186,10 @@ fn main() {
                 }
             }
         }
-        cached_times.push(start.elapsed().as_secs_f64() * 1_000.0);
-        cached_invocations = counter.load(Ordering::Relaxed);
-        stats = session.invocation_stats();
-    }
-    let cached_ms = median_ms(&mut cached_times);
+        session
+    });
+    let cached_invocations = counter.load(Ordering::Relaxed);
+    let stats = session.invocation_stats();
 
     let drop_pct = if uncached_invocations > 0 {
         100.0 * (uncached_invocations.saturating_sub(cached_invocations)) as f64
@@ -190,43 +198,27 @@ fn main() {
         0.0
     };
 
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"profile\": \"{profile}\",").unwrap();
-    writeln!(json, "  \"aligned_matching\": {{").unwrap();
-    writeln!(
-        json,
-        "    \"modules\": {}, \"offsets\": {offsets}, \"ordered_pairs\": {pairs},",
-        ids.len()
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"uncached\": {{\"module_invocations\": {uncached_invocations}, \"ms\": {uncached_ms:.2}}},"
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"cached\": {{\"module_invocations\": {cached_invocations}, \"ms\": {cached_ms:.2}, \
-         \"cache_hits\": {}, \"cache_misses\": {}, \"cache_entries\": {}, \"hit_rate_pct\": {:.1}}},",
-        stats.hits,
-        stats.misses,
-        stats.entries,
-        stats.hit_rate() * 100.0
-    )
-    .unwrap();
-    writeln!(json, "    \"invocation_drop_pct\": {drop_pct:.1}").unwrap();
-    writeln!(json, "  }}").unwrap();
-    json.push_str("}\n");
-
-    std::fs::write(&out_path, &json).expect("write summary");
-    print!("{json}");
-    eprintln!("wrote {out_path}");
-
-    if stats.hits == 0 {
-        eprintln!(
-            "FAIL: invocation cache recorded zero hits on the aligned-matching workload — \
-             cross-invocation sharing is broken"
-        );
-        std::process::exit(1);
-    }
+    bench.gate("cached.cache_hits", Op::Gt, 0.0, stats.hits as f64);
+    bench.finish(|gates| Report {
+        profile: harness::profile(),
+        aligned_matching: AlignedMatching {
+            modules: ids.len(),
+            offsets,
+            ordered_pairs: pairs,
+            uncached: Uncached {
+                module_invocations: uncached_invocations,
+                ms: uncached.median(),
+            },
+            cached: Cached {
+                module_invocations: cached_invocations,
+                ms: cached.median(),
+                cache_hits: stats.hits,
+                cache_misses: stats.misses,
+                cache_entries: stats.entries,
+                hit_rate_pct: stats.hit_rate() * 100.0,
+            },
+            invocation_drop_pct: drop_pct,
+        },
+        gates,
+    });
 }

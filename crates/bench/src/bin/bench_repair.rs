@@ -19,16 +19,16 @@
 //! Reported per wave: throughput (repairs/s) and p50/p95/p99 per-workflow
 //! repair latency from the telemetry histogram buckets.
 //!
-//! SLO self-gates (checked at the CI scale, 10k modules):
+//! SLO gates, checked at every scale:
 //! - every wave must report **zero** cold regenerations (the withdraw-only
 //!   contract of the incremental engine — decay never re-runs modules);
 //! - per-wave repair throughput must stay >= 500 repairs/s;
 //! - overall p99 per-workflow repair latency must stay <= 50 ms;
 //! - every affected workflow must be accounted full/partial/unrepaired.
 
+use dex_bench::harness::{self, timed, Bench, Op};
 use dex_experiments::{run_continuous, ContinuousConfig};
-use std::fmt::Write as _;
-use std::time::Instant;
+use serde::Serialize;
 
 /// Decay waves per scale.
 const WAVES: usize = 3;
@@ -39,140 +39,148 @@ const MIN_REPAIRS_PER_SEC: f64 = 500.0;
 /// Gate ceiling: overall p99 per-workflow repair latency (ms).
 const MAX_P99_MS: f64 = 50.0;
 
+#[derive(Serialize)]
+struct Report {
+    profile: &'static str,
+    threads: usize,
+    waves: usize,
+    fault_pct: u32,
+    repair_by_scale: Vec<ScaleRow>,
+    gates: Vec<harness::Gate>,
+}
+
+#[derive(Serialize)]
+struct ScaleRow {
+    modules: usize,
+    families: usize,
+    concepts: usize,
+    workflows: usize,
+    build_ms: f64,
+    bootstrap_ms: f64,
+    harvest_ms: f64,
+    harvested_instances: usize,
+    total_ms: f64,
+    total_substitutions: usize,
+    total_re_repaired: usize,
+    min_repairs_per_sec: f64,
+    overall_p50_ms: f64,
+    overall_p95_ms: f64,
+    overall_p99_ms: f64,
+    waves: Vec<WaveRow>,
+}
+
+#[derive(Serialize)]
+struct WaveRow {
+    wave: usize,
+    withdrawals: usize,
+    affected_workflows: usize,
+    carried_broken: usize,
+    re_repaired: usize,
+    fully_repaired: usize,
+    partially_repaired: usize,
+    unrepaired: usize,
+    substitutions: usize,
+    broken_after: usize,
+    regenerated_modules: usize,
+    repair_ms: f64,
+    repairs_per_sec: f64,
+    p50_ms: f64,
+    p95_ms: f64,
+    p99_ms: f64,
+}
+
+fn ns_to_ms(ns: u64) -> f64 {
+    ns as f64 / 1e6
+}
+
 fn main() {
-    let mut ci = false;
-    let mut out_path = "BENCH_repair.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--ci" {
-            ci = true;
-        } else {
-            out_path = arg;
-        }
-    }
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    let sizes: &[usize] = if ci {
+    let mut bench = Bench::from_env("bench_repair", &["--ci"]);
+    let sizes: &[usize] = if bench.ci() {
         &[10_000]
     } else {
         &[10_000, 50_000, 100_000]
     };
 
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"profile\": \"{profile}\",").unwrap();
-    writeln!(json, "  \"threads\": {threads},").unwrap();
-    writeln!(json, "  \"waves\": {WAVES},").unwrap();
-    writeln!(json, "  \"fault_pct\": {FAULT_PCT},").unwrap();
-    writeln!(json, "  \"repair_by_scale\": [").unwrap();
-
-    let mut gate_failures: Vec<String> = Vec::new();
-    for (row, &n) in sizes.iter().enumerate() {
+    let mut rows = Vec::new();
+    for &n in sizes {
         let cfg = ContinuousConfig::at_scale(n, WAVES, 42);
-        let start = Instant::now();
-        let report = run_continuous(&cfg);
-        let total_ms = start.elapsed().as_secs_f64() * 1_000.0;
+        let (report, total_ms) = timed(|| run_continuous(&cfg));
 
-        let p = &report.prepare;
-        let mut wave_rows: Vec<String> = Vec::new();
+        let mut waves = Vec::new();
         for w in &report.waves {
+            let at = format!("@{n}.wave{}", w.wave);
             // Withdraw-only decay must never trigger a cold re-run; the
             // driver asserts this too, but the gate keeps the guarantee
             // visible in the artifact.
-            if w.delta.regenerated_modules != 0 {
-                gate_failures.push(format!(
-                    "scale {n} wave {}: {} cold regenerations (expected 0)",
-                    w.wave, w.delta.regenerated_modules
-                ));
-            }
-            if w.affected_workflows != w.fully_repaired + w.partially_repaired + w.unrepaired {
-                gate_failures.push(format!(
-                    "scale {n} wave {}: affected {} != full {} + partial {} + none {}",
-                    w.wave,
-                    w.affected_workflows,
-                    w.fully_repaired,
-                    w.partially_repaired,
-                    w.unrepaired
-                ));
-            }
-            if n == 10_000 && w.repairs_per_sec < MIN_REPAIRS_PER_SEC {
-                gate_failures.push(format!(
-                    "scale {n} wave {}: {:.1} repairs/s < {MIN_REPAIRS_PER_SEC} floor",
-                    w.wave, w.repairs_per_sec
-                ));
-            }
-            wave_rows.push(format!(
-                "      {{\"wave\": {}, \"withdrawals\": {}, \"affected_workflows\": {}, \
-                 \"carried_broken\": {}, \"re_repaired\": {}, \
-                 \"fully_repaired\": {}, \"partially_repaired\": {}, \"unrepaired\": {}, \
-                 \"substitutions\": {}, \"broken_after\": {}, \"regenerated_modules\": {}, \
-                 \"repair_ms\": {:.2}, \"repairs_per_sec\": {:.1}, \
-                 \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}}}",
-                w.wave,
-                w.withdrawals,
-                w.affected_workflows,
-                w.carried_broken,
-                w.re_repaired,
-                w.fully_repaired,
-                w.partially_repaired,
-                w.unrepaired,
-                w.substitutions,
-                w.broken_after,
-                w.delta.regenerated_modules,
-                w.repair_ms,
-                w.repairs_per_sec,
-                w.latency.p50_ns as f64 / 1e6,
-                w.latency.p95_ns as f64 / 1e6,
-                w.latency.p99_ns as f64 / 1e6,
-            ));
+            let regenerated = w.delta.regenerated_modules as f64;
+            bench.gate(format!("regenerated_modules{at}"), Op::Eq, 0.0, regenerated);
+            let (affected, accounted) = (
+                w.affected_workflows as f64,
+                (w.fully_repaired + w.partially_repaired + w.unrepaired) as f64,
+            );
+            let metric = format!("full+partial+none{at} vs affected");
+            bench.gate(metric, Op::Eq, affected, accounted);
+            let rate = w.repairs_per_sec;
+            bench.gate(
+                format!("repairs_per_sec{at}"),
+                Op::Ge,
+                MIN_REPAIRS_PER_SEC,
+                rate,
+            );
+            waves.push(WaveRow {
+                wave: w.wave,
+                withdrawals: w.withdrawals,
+                affected_workflows: w.affected_workflows,
+                carried_broken: w.carried_broken,
+                re_repaired: w.re_repaired,
+                fully_repaired: w.fully_repaired,
+                partially_repaired: w.partially_repaired,
+                unrepaired: w.unrepaired,
+                substitutions: w.substitutions,
+                broken_after: w.broken_after,
+                regenerated_modules: w.delta.regenerated_modules,
+                repair_ms: w.repair_ms,
+                repairs_per_sec: w.repairs_per_sec,
+                p50_ms: ns_to_ms(w.latency.p50_ns),
+                p95_ms: ns_to_ms(w.latency.p95_ns),
+                p99_ms: ns_to_ms(w.latency.p99_ns),
+            });
         }
-        let overall_p99_ms = report.latency_overall.p99_ns as f64 / 1e6;
-        if n == 10_000 && overall_p99_ms > MAX_P99_MS {
-            gate_failures.push(format!(
-                "scale {n}: overall p99 {overall_p99_ms:.3} ms > {MAX_P99_MS} ms ceiling"
-            ));
-        }
-
-        let comma = if row + 1 < sizes.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{\"modules\": {n}, \"families\": {}, \"concepts\": {}, \
-             \"workflows\": {}, \"build_ms\": {:.2}, \"bootstrap_ms\": {:.2}, \
-             \"harvest_ms\": {:.2}, \"harvested_instances\": {}, \"total_ms\": {total_ms:.2}, \
-             \"total_substitutions\": {}, \"total_re_repaired\": {}, \"min_repairs_per_sec\": {:.1}, \
-             \"overall_p50_ms\": {:.4}, \"overall_p95_ms\": {:.4}, \"overall_p99_ms\": {:.4}, \
-             \"waves\": [\n{}\n    ]}}{comma}",
-            p.families,
-            p.concepts,
-            p.workflows,
-            p.build_ms,
-            p.bootstrap_ms,
-            p.harvest_ms,
-            p.harvested_instances,
-            report.total_substitutions(),
-            report.total_re_repaired(),
-            report.min_repairs_per_sec(),
-            report.latency_overall.p50_ns as f64 / 1e6,
-            report.latency_overall.p95_ns as f64 / 1e6,
+        let overall_p99_ms = ns_to_ms(report.latency_overall.p99_ns);
+        bench.gate(
+            format!("overall_p99_ms@{n}"),
+            Op::Le,
+            MAX_P99_MS,
             overall_p99_ms,
-            wave_rows.join(",\n"),
-        )
-        .unwrap();
-    }
-    writeln!(json, "  ]").unwrap();
-    json.push_str("}\n");
+        );
 
-    if !gate_failures.is_empty() {
-        print!("{json}");
-        for failure in &gate_failures {
-            eprintln!("bench_repair gate failed: {failure}");
-        }
-        std::process::exit(1);
+        let p = &report.prepare;
+        rows.push(ScaleRow {
+            modules: n,
+            families: p.families,
+            concepts: p.concepts,
+            workflows: p.workflows,
+            build_ms: p.build_ms,
+            bootstrap_ms: p.bootstrap_ms,
+            harvest_ms: p.harvest_ms,
+            harvested_instances: p.harvested_instances,
+            total_ms,
+            total_substitutions: report.total_substitutions(),
+            total_re_repaired: report.total_re_repaired(),
+            min_repairs_per_sec: report.min_repairs_per_sec(),
+            overall_p50_ms: ns_to_ms(report.latency_overall.p50_ns),
+            overall_p95_ms: ns_to_ms(report.latency_overall.p95_ns),
+            overall_p99_ms,
+            waves,
+        });
     }
 
-    std::fs::write(&out_path, &json).expect("write summary");
-    print!("{json}");
-    eprintln!("wrote {out_path}");
+    bench.finish(|gates| Report {
+        profile: harness::profile(),
+        threads: harness::threads(),
+        waves: WAVES,
+        fault_pct: FAULT_PCT,
+        repair_by_scale: rows,
+        gates,
+    });
 }

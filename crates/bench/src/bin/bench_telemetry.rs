@@ -13,12 +13,12 @@
 //! stay under [`DISABLED_SPAN_BUDGET_NS`] per call. Breaching either budget
 //! exits nonzero so CI treats instrumentation creep as a regression.
 
+use dex_bench::harness::{self, interleave, measure, Bench, Op};
 use dex_core::GenerationConfig;
 use dex_experiments::parallel::{generate_all_parallel, match_pairs_blocked, BatchConfig};
 use dex_modules::ModuleId;
 use dex_pool::build_synthetic_pool;
-use std::fmt::Write as _;
-use std::time::Instant;
+use serde::Serialize;
 
 /// Maximum median slowdown tracing may inflict on an instrumented workload.
 const OVERHEAD_BUDGET_PCT: f64 = 10.0;
@@ -29,42 +29,49 @@ const OVERHEAD_BUDGET_PCT: f64 = 10.0;
 /// read on the disabled path, which would cost 20–60 ns.
 const DISABLED_SPAN_BUDGET_NS: f64 = 20.0;
 
-/// Per-call milliseconds for one timed batch of `batch` calls.
-fn batch_ms(batch: usize, f: &mut impl FnMut()) -> f64 {
-    let start = Instant::now();
-    for _ in 0..batch {
-        f();
-    }
-    start.elapsed().as_secs_f64() * 1_000.0 / batch as f64
+#[derive(Serialize)]
+struct Report {
+    profile: &'static str,
+    threads: usize,
+    overhead_budget_pct: f64,
+    generate_all: Overhead,
+    match_pairs: MatchOverhead,
+    span_call: SpanCall,
+    flight_event: FlightEvent,
+    gate: &'static str,
+    gates: Vec<harness::Gate>,
 }
 
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    samples[samples.len() / 2]
+#[derive(Serialize)]
+struct Overhead {
+    off_ms: f64,
+    on_ms: f64,
+    overhead_pct: f64,
 }
 
-/// Median nanoseconds per call of `f` over `reps` batches of `calls`.
-fn ns_per_call(reps: usize, calls: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..calls {
-            f();
-        }
-        samples.push(start.elapsed().as_secs_f64() * 1e9 / calls as f64);
-    }
-    median(samples)
+#[derive(Serialize)]
+struct MatchOverhead {
+    modules: usize,
+    off_ms: f64,
+    on_ms: f64,
+    overhead_pct: f64,
+}
+
+#[derive(Serialize)]
+struct SpanCall {
+    disabled_ns: f64,
+    enabled_ns: f64,
+    disabled_budget_ns: f64,
+}
+
+#[derive(Serialize)]
+struct FlightEvent {
+    disabled_ns: f64,
+    enabled_ns: f64,
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_telemetry.json".to_string());
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
+    let mut bench = Bench::from_env("bench_telemetry", &[]);
     let (reps, batch): (usize, usize) = if cfg!(debug_assertions) {
         (3, 1)
     } else {
@@ -74,56 +81,44 @@ fn main() {
     let universe = dex_universe::build();
     let pool = build_synthetic_pool(&universe.ontology, 4, 42);
     let config = GenerationConfig::default();
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4);
+    let threads = harness::threads();
     let match_ids: Vec<ModuleId> = universe.available_ids().into_iter().step_by(11).collect();
-
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"profile\": \"{profile}\",").unwrap();
-    writeln!(json, "  \"threads\": {threads},").unwrap();
-    writeln!(json, "  \"overhead_budget_pct\": {OVERHEAD_BUDGET_PCT},").unwrap();
 
     // Off and on batches alternate so slow machine drift (frequency
     // scaling, background load) hits both sides equally instead of biasing
-    // whichever side ran later.
-    let section = |name: &str, mut run: Box<dyn FnMut() + '_>| -> (f64, f64) {
-        let mut off = Vec::with_capacity(reps);
-        let mut on = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            dex_telemetry::disable();
-            off.push(batch_ms(batch, &mut run));
-            dex_telemetry::enable();
-            on.push(batch_ms(batch, &mut run));
-        }
+    // whichever side ran later. Returns the per-call medians in ms.
+    let section = |name: &str, run: &dyn Fn()| -> (f64, f64) {
+        let [off, on] = interleave(
+            reps,
+            batch,
+            false,
+            [
+                &mut || {
+                    dex_telemetry::disable();
+                    run();
+                },
+                &mut || {
+                    dex_telemetry::enable();
+                    run();
+                },
+            ],
+        );
         dex_telemetry::disable();
         dex_telemetry::reset();
-        let (off_ms, on_ms) = (median(off), median(on));
+        let (off_ms, on_ms) = (off.median(), on.median());
         eprintln!("{name}: off {off_ms:.2} ms, on {on_ms:.2} ms");
         (off_ms, on_ms)
     };
 
-    let (gen_off, gen_on) = section(
-        "generate_all_parallel",
-        Box::new(|| {
-            std::hint::black_box(generate_all_parallel(&universe, &pool, &config, threads));
-        }),
-    );
-    let (match_off, match_on) = section(
-        "match_pairs_blocked",
-        Box::new(|| {
-            std::hint::black_box(
-                match_pairs_blocked(
-                    &universe,
-                    &match_ids,
-                    &pool,
-                    &config,
-                    &BatchConfig::with_threads(threads),
-                )
-                .reports,
-            );
-        }),
-    );
+    let (gen_off, gen_on) = section("generate_all_parallel", &|| {
+        std::hint::black_box(generate_all_parallel(&universe, &pool, &config, threads));
+    });
+    let batched = BatchConfig::with_threads(threads);
+    let (match_off, match_on) = section("match_pairs_blocked", &|| {
+        std::hint::black_box(match_pairs_blocked(
+            &universe, &match_ids, &pool, &config, &batched,
+        ));
+    });
 
     // Microcosts. Disabled sites must be inert: the span guard is a relaxed
     // load + None, the flight gate a pair of relaxed loads — no clock read,
@@ -134,11 +129,13 @@ fn main() {
     } else {
         1_000_000
     };
+    // Median nanoseconds per call of `f` over `reps` batches of `calls`.
+    let ns_per_call = |calls: usize, f: &mut dyn FnMut()| measure(reps, calls, f).0.median() * 1e6;
     dex_telemetry::disable();
-    let span_off_ns = ns_per_call(reps, micro_calls, || {
+    let span_off_ns = ns_per_call(micro_calls, &mut || {
         drop(std::hint::black_box(dex_telemetry::span("bench.micro")));
     });
-    let flight_off_ns = ns_per_call(reps, micro_calls, || {
+    let flight_off_ns = ns_per_call(micro_calls, &mut || {
         if std::hint::black_box(dex_telemetry::flight_on()) {
             dex_telemetry::flight(
                 dex_telemetry::FlightKind::Invocation,
@@ -151,14 +148,14 @@ fn main() {
     dex_telemetry::enable();
     // Enabled spans fold into the root list; keep batches modest and reset
     // between them so the forest doesn't grow monotonically.
-    let span_calls = micro_calls / 10;
-    let span_on_ns = ns_per_call(reps, span_calls.max(1), || {
+    let span_calls = (micro_calls / 10).max(1);
+    let span_on_ns = ns_per_call(span_calls, &mut || {
         drop(std::hint::black_box(dex_telemetry::span("bench.micro")));
     });
     dex_telemetry::reset();
     // The flight ring overwrites in place, so volume is free; each recorded
     // event costs one format + one boxed slot swap.
-    let flight_on_ns = ns_per_call(reps, span_calls.max(1), || {
+    let flight_on_ns = ns_per_call(span_calls, &mut || {
         if dex_telemetry::flight_on() {
             dex_telemetry::flight(
                 dex_telemetry::FlightKind::Invocation,
@@ -178,77 +175,47 @@ fn main() {
     let pct = |off: f64, on: f64| (on - off) / off * 100.0;
     let gen_pct = pct(gen_off, gen_on);
     let match_pct = pct(match_off, match_on);
-    writeln!(
-        json,
-        "  \"generate_all\": {{\"off_ms\": {gen_off:.2}, \"on_ms\": {gen_on:.2}, \
-         \"overhead_pct\": {gen_pct:.2}}},",
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "  \"match_pairs\": {{\"modules\": {}, \"off_ms\": {match_off:.2}, \
-         \"on_ms\": {match_on:.2}, \"overhead_pct\": {match_pct:.2}}},",
-        match_ids.len(),
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "  \"span_call\": {{\"disabled_ns\": {span_off_ns:.1}, \"enabled_ns\": {span_on_ns:.1}, \
-         \"disabled_budget_ns\": {DISABLED_SPAN_BUDGET_NS}}},"
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "  \"flight_event\": {{\"disabled_ns\": {flight_off_ns:.1}, \
-         \"enabled_ns\": {flight_on_ns:.1}}},"
-    )
-    .unwrap();
 
     // Gate only in release: debug medians measure the lack of optimization,
     // not the instrumentation.
-    let mut violations: Vec<String> = Vec::new();
     if !cfg!(debug_assertions) {
-        if gen_pct > OVERHEAD_BUDGET_PCT {
-            violations.push(format!(
-                "generate_all enabled overhead {gen_pct:.2}% > {OVERHEAD_BUDGET_PCT}%"
-            ));
-        }
-        if match_pct > OVERHEAD_BUDGET_PCT {
-            violations.push(format!(
-                "match_pairs enabled overhead {match_pct:.2}% > {OVERHEAD_BUDGET_PCT}%"
-            ));
-        }
-        if span_off_ns > DISABLED_SPAN_BUDGET_NS {
-            violations.push(format!(
-                "disabled span site costs {span_off_ns:.1} ns/call > {DISABLED_SPAN_BUDGET_NS} ns"
-            ));
-        }
-        if flight_off_ns > DISABLED_SPAN_BUDGET_NS {
-            violations.push(format!(
-                "disabled flight site costs {flight_off_ns:.1} ns/call > \
-                 {DISABLED_SPAN_BUDGET_NS} ns"
-            ));
-        }
+        let budget_pct = OVERHEAD_BUDGET_PCT;
+        bench.gate("generate_all.overhead_pct", Op::Le, budget_pct, gen_pct);
+        bench.gate("match_pairs.overhead_pct", Op::Le, budget_pct, match_pct);
+        let budget_ns = DISABLED_SPAN_BUDGET_NS;
+        bench.gate("span_call.disabled_ns", Op::Le, budget_ns, span_off_ns);
+        bench.gate("flight_event.disabled_ns", Op::Le, budget_ns, flight_off_ns);
     }
-    writeln!(
-        json,
-        "  \"gate\": \"{}\"",
-        if violations.is_empty() {
+
+    bench.finish(|gates| Report {
+        profile: harness::profile(),
+        threads,
+        overhead_budget_pct: OVERHEAD_BUDGET_PCT,
+        generate_all: Overhead {
+            off_ms: gen_off,
+            on_ms: gen_on,
+            overhead_pct: gen_pct,
+        },
+        match_pairs: MatchOverhead {
+            modules: match_ids.len(),
+            off_ms: match_off,
+            on_ms: match_on,
+            overhead_pct: match_pct,
+        },
+        span_call: SpanCall {
+            disabled_ns: span_off_ns,
+            enabled_ns: span_on_ns,
+            disabled_budget_ns: DISABLED_SPAN_BUDGET_NS,
+        },
+        flight_event: FlightEvent {
+            disabled_ns: flight_off_ns,
+            enabled_ns: flight_on_ns,
+        },
+        gate: if gates.iter().all(|g| g.pass) {
             "pass"
         } else {
             "fail"
-        }
-    )
-    .unwrap();
-    json.push_str("}\n");
-
-    std::fs::write(&out_path, &json).expect("write summary");
-    print!("{json}");
-    eprintln!("wrote {out_path}");
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("bench_telemetry: BUDGET VIOLATION: {v}");
-        }
-        std::process::exit(1);
-    }
+        },
+        gates,
+    });
 }

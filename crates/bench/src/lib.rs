@@ -1,5 +1,7 @@
 //! Criterion benchmark support crate (benches live in `benches/`) plus
-//! helpers shared by the `bench_*` report binaries.
+//! what the `bench_*` report binaries share: the [`harness`] every one of
+//! them measures, reports and gates through, and the amplified synthetic
+//! registries.
 
 use dex_core::FingerprintIndex;
 use dex_modules::{FnModule, ModuleCatalog, ModuleId, SharedModule};
@@ -7,6 +9,14 @@ use dex_universe::Universe;
 use dex_values::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+pub mod harness;
+
+/// Every ordered pair `(t, c)` of distinct indices below `n`, target-major:
+/// the order of an all-pairs matching sweep.
+pub fn ordered_pairs(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n).flat_map(move |t| (0..n).filter(move |&c| c != t).map(move |c| (t, c)))
+}
 
 /// Max distinct interface shapes in an amplified registry.
 pub const MAX_SHAPES: usize = 64;

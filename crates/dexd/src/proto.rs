@@ -179,10 +179,10 @@ pub struct StatsReply {
     pub queue_capacity: usize,
     /// Requests admitted and not yet answered.
     pub in_flight: usize,
-    /// Matrix passes taken by the substitute-lookup batcher.
+    /// Fingerprint-bucket groups answered by the substitute-lookup batcher.
     pub batch_passes: u64,
-    /// Substitute lookups that shared a pass with an earlier lookup of the
-    /// same fingerprint bucket.
+    /// Substitute lookups batched into a group after its first lookup of
+    /// the same fingerprint bucket (each still scans its own matrix row).
     pub coalesced_lookups: u64,
     /// `ApplyDelta` batches absorbed.
     pub deltas_applied: u64,
@@ -281,6 +281,36 @@ mod tests {
         buf.extend_from_slice(b"junk");
         let err = read_frame(&mut &buf[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn deeply_nested_frame_is_invalid_data_not_a_stack_overflow() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, "[".repeat(50_000).as_bytes()).unwrap();
+        let err = read_message::<Request>(&mut &buf[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Bytes the JSON parser branches on, so generated payloads get past
+    /// the first character.
+    const JSON_BYTES: &[u8] = b"[]{}\",:0123456789.-+eEtrufalsn \\/\x00\xff";
+
+    proptest::proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoder(
+            raw in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+            picks in proptest::collection::vec(0..JSON_BYTES.len(), 0..512),
+        ) {
+            // As a raw stream: length prefix and payload both arbitrary.
+            let _ = read_message::<Request>(&mut &raw[..]);
+            // As well-framed payloads: arbitrary bytes, then JSON-ish bytes.
+            let json_ish: Vec<u8> = picks.iter().map(|&i| JSON_BYTES[i]).collect();
+            for payload in [&raw, &json_ish] {
+                let mut buf = Vec::new();
+                write_frame(&mut buf, payload).unwrap();
+                let _ = read_message::<Request>(&mut &buf[..]);
+            }
+        }
     }
 
     #[test]

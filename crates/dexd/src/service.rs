@@ -28,9 +28,9 @@
 //! whose `Drop` releases the slot, so a worker panic or a vanished client
 //! cannot leak admission capacity. Worker threads drain the queue;
 //! a `FindSubstitutes` at the head pulls every other queued substitute
-//! lookup into one batch, grouped by fingerprint bucket, so lookups that
-//! would each scan the same bucket share a single matrix pass under a
-//! single read acquisition.
+//! lookup into one batch, grouped by fingerprint bucket, and answers the
+//! whole batch under a single read acquisition. Each lookup still runs its
+//! own row scan of the verdict matrix; what the batch shares is the lock.
 //!
 //! Handlers run inside `catch_unwind`: a panic becomes a
 //! [`Response::Error`] (counted in [`StatsReply::handler_panics`]), the
@@ -376,8 +376,9 @@ impl Dexd {
     }
 
     /// Answers a batch of substitute lookups under one read acquisition,
-    /// grouped by fingerprint bucket: lookups sharing a bucket share one
-    /// matrix pass.
+    /// grouped by fingerprint bucket (one `batch_passes` tick per group).
+    /// Each lookup runs its own `substitutes` row scan; only the lock
+    /// acquisition is shared.
     fn handle_substitutes_batch(&self, batch: Vec<Job>) {
         let _span = dex_telemetry::span("dexd.substitutes_batch");
         let pipeline = self.read_pipeline();

@@ -4,7 +4,8 @@
 //! pipeline lock — on the write side this genuinely poisons the std
 //! `RwLock` — and the service must keep answering correctly afterwards,
 //! including further writes. A rude socket client that disconnects
-//! mid-request must likewise leave the daemon serving everyone else.
+//! mid-request, or one that sends a malformed or absurdly nested frame,
+//! must likewise leave the daemon serving everyone else.
 
 use dex_core::delta::Delta;
 use dexd::{proto, serve_unix, Client, Dexd, Request, Response, ServiceConfig, SocketClient};
@@ -231,16 +232,19 @@ fn socket_client_disconnecting_mid_request_does_not_wedge_the_daemon() {
             .expect("rude client write");
         drop(rude);
     }
-    // A garbage frame gets an Error reply, not a dead daemon.
-    let mut garbage = connect("garbage client");
-    proto::write_frame(&mut garbage, b"{\"NoSuchRequest\":{}}").expect("garbage write");
-    match proto::read_message::<Response>(&mut garbage) {
-        Ok(Response::Error { message }) => {
-            assert!(message.contains("malformed"), "got: {message}")
+    // A garbage frame gets an Error reply, not a dead daemon — including a
+    // 50 KB `[[[…` frame nested far past the decoder's recursion limit.
+    let nested = "[".repeat(50_000);
+    for payload in [&b"{\"NoSuchRequest\":{}}"[..], nested.as_bytes()] {
+        let mut garbage = connect("garbage client");
+        proto::write_frame(&mut garbage, payload).expect("garbage write");
+        match proto::read_message::<Response>(&mut garbage) {
+            Ok(Response::Error { message }) => {
+                assert!(message.contains("malformed"), "got: {message}")
+            }
+            other => panic!("garbage frame answered {other:?}"),
         }
-        other => panic!("garbage frame answered {other:?}"),
     }
-    drop(garbage);
 
     // A polite client is still served normally.
     let mut polite = SocketClient::connect(&path).expect("polite connect");
@@ -252,6 +256,11 @@ fn socket_client_disconnecting_mid_request_does_not_wedge_the_daemon() {
     assert!(
         matches!(resp, Response::Substitutes(_)),
         "polite request answered {resp:?}"
+    );
+    let resp = polite.call(&Request::Stats).expect("polite stats");
+    assert!(
+        matches!(resp, Response::Stats(_)),
+        "stats answered {resp:?}"
     );
     assert_drains(&svc);
     let resp = polite.call(&Request::Shutdown).expect("shutdown call");

@@ -604,9 +604,9 @@ impl IncrementalPipeline {
     }
 
     /// The fingerprint bucket key of an available tracked module — the
-    /// coalescing key `dexd` groups substitute lookups under, so lookups
-    /// sharing a bucket are answered in one matrix pass. `None` for
-    /// withdrawn or untracked modules.
+    /// key `dexd` groups batched substitute lookups under (each lookup
+    /// still scans its own row). `None` for withdrawn or untracked
+    /// modules.
     pub fn bucket_key(&self, id: &ModuleId) -> Option<u64> {
         let &i = self.slot_of.get(id)?;
         if !self.available[i] {

@@ -28,14 +28,14 @@ fn main() {
     assert!(failures.is_empty());
     println!("registry holds {} annotated modules", registry.len());
 
-    // An experiment designer looks for something that turns a Uniprot
-    // accession into an alignment report.
+    // An experiment designer looks for something that turns a protein
+    // sequence into an alignment report (any subconcept: BLAST or FASTA).
     let query = SearchQuery::any()
-        .consuming("UniprotAccession")
+        .consuming("ProteinSequence")
         .producing("AlignmentReport")
         .available();
     let hits = search(&registry, &query, ontology);
-    println!("\nmodules consuming UniprotAccession and producing an alignment report:");
+    println!("\nmodules consuming ProteinSequence and producing an alignment report:");
     for (id, entry) in &hits {
         println!("  {id}: {}", entry.descriptor.signature());
     }

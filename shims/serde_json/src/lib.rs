@@ -152,9 +152,15 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts — serde_json's default
+/// recursion limit. The parser recurses once per level, so without a cap a
+/// payload of a few kilobytes of `[` overflows the thread's stack.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -162,7 +168,20 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
+    }
+
+    /// Parses one nested array/object body with `parse`, failing instead of
+    /// recursing past [`RECURSION_LIMIT`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Content>) -> Result<Content> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn err(&self, msg: &str) -> Error {
@@ -217,8 +236,8 @@ impl<'a> Parser<'a> {
                 Ok(Content::Bool(false))
             }
             Some(b'"') => self.parse_string().map(Content::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             Some(b) => Err(self.err(&format!("unexpected character `{}`", b as char))),
             None => Err(self.err("unexpected end of input")),
@@ -482,6 +501,19 @@ mod tests {
         assert!(pretty.contains("\n  \"key\": [\n    1\n  ]\n"));
         let back: std::collections::BTreeMap<String, Vec<i64>> = from_str(&pretty).unwrap();
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_recursion_limit() {
+        let deep = "[".repeat(100_000);
+        let err = from_str::<Vec<i64>>(&deep).unwrap_err();
+        assert!(err.0.contains("recursion limit"), "{err}");
+        let parse = |s: &str| Parser::new(s).parse_value();
+        let at_limit = "[".repeat(RECURSION_LIMIT) + &"]".repeat(RECURSION_LIMIT);
+        assert!(parse(&at_limit).is_ok());
+        let over = "[".repeat(RECURSION_LIMIT + 1) + &"]".repeat(RECURSION_LIMIT + 1);
+        assert!(parse(&over).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]
