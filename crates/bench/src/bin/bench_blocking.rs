@@ -49,12 +49,10 @@
 
 use dex_bench::harness::{self, interleave, measure, timed, Bench, Op};
 use dex_bench::{amplified_universe, ordered_pairs};
-use dex_core::{
-    FingerprintIndex, GenerationConfig, MatchOutcome, MatchReport, MatchSession, MatchVerdict,
-};
+use dex_core::{FingerprintIndex, GenerationConfig, MatchReport, MatchSession};
 use dex_experiments::parallel::{
     match_pairs_blocked, match_pairs_blocked_summary, match_pairs_blocked_summary_unprepared,
-    match_pairs_exhaustive,
+    match_pairs_exhaustive, verdict_slot,
 };
 use dex_experiments::BatchConfig;
 use dex_modules::ModuleId;
@@ -78,16 +76,6 @@ fn spawn_overhead_ms(workers: usize) -> f64 {
         })
     });
     samples.min()
-}
-
-/// `(equivalent, overlapping, disjoint, incomparable)` slot of an outcome.
-fn verdict_slot(outcome: &MatchOutcome) -> usize {
-    match outcome {
-        MatchOutcome::Verdict(MatchVerdict::Equivalent { .. }) => 0,
-        MatchOutcome::Verdict(MatchVerdict::Overlapping { .. }) => 1,
-        MatchOutcome::Verdict(MatchVerdict::Disjoint { .. }) => 2,
-        MatchOutcome::Incomparable(_) => 3,
-    }
 }
 
 /// The exhaustive all-pairs baseline, tallying verdicts without

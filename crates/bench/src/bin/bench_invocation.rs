@@ -7,7 +7,7 @@
 //! memoized generation via the sequential reference path, with every replay
 //! invoking the candidate afresh. The "cached" run is today's pipeline: one
 //! [`MatchSession`] whose generations and replays share an
-//! [`InvocationCache`].
+//! [`InvocationCache`](dex_modules::InvocationCache).
 //!
 //! Gate: the cache must record hits on this workload — zero would mean the
 //! planner's sharing is broken, and CI treats it as a regression.

@@ -95,9 +95,9 @@ pub use generate::{
 };
 pub use inverse::{cover_output_partitions, InverseCoverageReport};
 pub use matching::{
-    compare_modules, match_against_examples, match_against_examples_retrying, BlockingStats,
-    CacheStats, CachedGeneration, FingerprintIndex, MappingMode, MatchOutcome, MatchReport,
-    MatchSession, MatchVerdict, PartitionFingerprint,
+    compare_modules, compared_outcome, match_against_examples, match_against_examples_retrying,
+    pruned_outcome, BlockingStats, CacheStats, CachedGeneration, FingerprintIndex, MappingMode,
+    MatchOutcome, MatchReport, MatchSession, MatchVerdict, PartitionFingerprint,
 };
 pub use metrics::{completeness, conciseness, BehaviorOracle, ModuleScore};
 pub use partition::{input_partition_plan, partitions_for, PartitionPlan};

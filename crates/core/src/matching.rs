@@ -299,6 +299,59 @@ pub enum MatchOutcome {
     Incomparable(String),
 }
 
+/// How one compared pair concludes. The target's generation error takes
+/// precedence; otherwise the target's examples are replayed against the
+/// candidate under strict mapping (the mapping/emptiness precedence lives in
+/// [`match_against_examples_retrying`]). [`MatchSession`] and the incremental
+/// pipeline both decide every compared pair here.
+pub fn compared_outcome(
+    target: &ModuleDescriptor,
+    report: &Result<GenerationReport, GenerationError>,
+    candidate: &dyn BlackBox,
+    ontology: &Ontology,
+    cache: &InvocationCache,
+    retrier: &Retrier,
+) -> MatchOutcome {
+    let verdict = match report {
+        Err(e) => return MatchOutcome::Incomparable(e.to_string()),
+        Ok(report) => match_against_examples_retrying(
+            target,
+            &report.examples,
+            candidate,
+            ontology,
+            MappingMode::Strict,
+            cache,
+            retrier,
+        ),
+    };
+    match verdict {
+        Ok(verdict) => MatchOutcome::Verdict(verdict),
+        Err(e) => MatchOutcome::Incomparable(e.to_string()),
+    }
+}
+
+/// The outcome of a pair whose [`PartitionFingerprint`]s are *incompatible*,
+/// decided **without a single candidate invocation**: incompatible
+/// fingerprints prove `map_parameters` must fail, so the outcome is the
+/// mapping error, or the target's generation error, which takes precedence
+/// in [`compared_outcome`] too. Byte-identical to [`compared_outcome`] for
+/// the same pair; `None` if the parameters *do* map (a blocking-layer bug),
+/// so the caller compares in full rather than fabricate an incomparability.
+pub fn pruned_outcome(
+    target: &ModuleDescriptor,
+    report: &Result<GenerationReport, GenerationError>,
+    candidate: &ModuleDescriptor,
+    ontology: &Ontology,
+) -> Option<MatchOutcome> {
+    let error = match report {
+        Err(e) => e.to_string(),
+        Ok(_) => map_parameters(target, candidate, ontology, MappingMode::Strict)
+            .err()?
+            .to_string(),
+    };
+    Some(MatchOutcome::Incomparable(error))
+}
+
 /// One entry of an all-pairs matching run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MatchReport {
@@ -987,24 +1040,15 @@ impl<'a> MatchSession<'a> {
                 .get_or_init(|| dex_telemetry::histogram("dex.match.pair_ns"))
                 .start()
         };
-        let (examples, outcome) = match report.as_ref() {
-            Ok(report) => {
-                let outcome = match match_against_examples_retrying(
-                    target.descriptor(),
-                    &report.examples,
-                    candidate,
-                    self.ontology,
-                    MappingMode::Strict,
-                    &self.invocations,
-                    &self.retrier,
-                ) {
-                    Ok(verdict) => MatchOutcome::Verdict(verdict),
-                    Err(e) => MatchOutcome::Incomparable(e.to_string()),
-                };
-                (report.examples.len(), outcome)
-            }
-            Err(e) => (0, MatchOutcome::Incomparable(e.to_string())),
-        };
+        let examples = report.as_ref().as_ref().map_or(0, |r| r.examples.len());
+        let outcome = compared_outcome(
+            target.descriptor(),
+            report,
+            candidate,
+            self.ontology,
+            &self.invocations,
+            &self.retrier,
+        );
         if dex_telemetry::is_enabled() {
             let counters = match_counters();
             counters.pairs.add(1);
@@ -1024,56 +1068,33 @@ impl<'a> MatchSession<'a> {
         }
     }
 
-    /// The [`MatchReport`] for a pair whose [`PartitionFingerprint`]s are
-    /// *incompatible*, produced **without a single candidate invocation**:
-    /// incompatible fingerprints prove `map_parameters` must fail, so the
-    /// outcome is the mapping error (or the target's generation error, which
-    /// takes precedence in [`compare`](MatchSession::compare) too).
-    ///
-    /// Byte-identical to what [`compare_report`](MatchSession::compare_report)
-    /// would return for the same pair — the equivalence property suite in
-    /// `tests/properties.rs` pins this. If a caller hands in a pair whose
-    /// parameters *do* map (a blocking-layer bug, or a deliberate misuse),
-    /// this falls back to the full comparison rather than fabricating an
-    /// incomparability.
-    pub fn pruned_report(&self, target: &dyn BlackBox, candidate: &dyn BlackBox) -> MatchReport {
-        let report = self.report_for(target);
-        self.pruned_report_prepared(target, &report, candidate)
-    }
-
-    /// [`pruned_report`](MatchSession::pruned_report) with the target's
-    /// memoized report already in hand — the lock-free counterpart used by
-    /// the prepared executor.
+    /// The [`MatchReport`] for a fingerprint-pruned pair, produced
+    /// invocation-free by [`pruned_outcome`] from the target's memoized
+    /// report — byte-identical to what
+    /// [`compare_report`](MatchSession::compare_report) would return (the
+    /// equivalence property suite in `tests/properties.rs` pins this). A
+    /// pair whose parameters *do* map falls back to the full comparison.
     pub fn pruned_report_prepared(
         &self,
         target: &dyn BlackBox,
         report: &CachedGeneration,
         candidate: &dyn BlackBox,
     ) -> MatchReport {
-        let examples = match report.as_ref() {
-            Ok(report) => report.examples.len(),
-            Err(_) => 0,
+        let Some(outcome) = pruned_outcome(
+            target.descriptor(),
+            report,
+            candidate.descriptor(),
+            self.ontology,
+        ) else {
+            debug_assert!(
+                false,
+                "pruned_report_prepared on a mappable pair: {} vs {}",
+                target.descriptor().id,
+                candidate.descriptor().id
+            );
+            return self.compare_report_prepared(target, report, candidate);
         };
-        let outcome = match report.as_ref() {
-            Err(e) => MatchOutcome::Incomparable(e.to_string()),
-            Ok(_) => match map_parameters(
-                target.descriptor(),
-                candidate.descriptor(),
-                self.ontology,
-                MappingMode::Strict,
-            ) {
-                Err(e) => MatchOutcome::Incomparable(e.to_string()),
-                Ok(_) => {
-                    debug_assert!(
-                        false,
-                        "pruned_report on a mappable pair: {} vs {}",
-                        target.descriptor().id,
-                        candidate.descriptor().id
-                    );
-                    return self.compare_report_prepared(target, report, candidate);
-                }
-            },
-        };
+        let examples = report.as_ref().as_ref().map_or(0, |r| r.examples.len());
         if dex_telemetry::is_enabled() {
             let counters = match_counters();
             counters.pairs.add(1);
@@ -1727,7 +1748,7 @@ mod tests {
         assert!(!index.is_comparable(0, 2), "no descriptor, no comparison");
     }
 
-    /// `pruned_report` must be indistinguishable from `compare_report` on
+    /// `pruned_report_prepared` must be indistinguishable from `compare_report` on
     /// every fingerprint-incompatible pair — same outcome string, same
     /// example count — while replaying nothing.
     #[test]
@@ -1749,7 +1770,8 @@ mod tests {
                 let full = full_session.compare_report(*t, *cand);
                 let candidate_invocations_before =
                     c_count.load(std::sync::atomic::Ordering::Relaxed);
-                let pruned = pruned_session.pruned_report(*t, *cand);
+                let report = pruned_session.report_for(*t);
+                let pruned = pruned_session.pruned_report_prepared(*t, &report, *cand);
                 assert_eq!(full, pruned);
                 if !std::ptr::eq(*cand as *const dyn BlackBox, &c as &dyn BlackBox) {
                     continue;

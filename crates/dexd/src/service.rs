@@ -24,7 +24,7 @@
 //! Requests pass an admission gate (a counter capped at the configured
 //! queue capacity) before entering the bounded queue; past the cap the
 //! caller gets [`Response::Busy`] immediately — memory is bounded by
-//! construction, never by luck. Each admitted request carries a [`Ticket`]
+//! construction, never by luck. Each admitted request carries a `Ticket`
 //! whose `Drop` releases the slot, so a worker panic or a vanished client
 //! cannot leak admission capacity. Worker threads drain the queue;
 //! a `FindSubstitutes` at the head pulls every other queued substitute

@@ -35,15 +35,14 @@
 //! substitute search answered with zero replay invocations.
 
 use dex_core::delta::{Delta, DeltaReport, DependencyIndex};
-use dex_core::matching::map_parameters;
 use dex_core::{
-    generate_examples_retrying, generation_signature, match_against_examples_retrying,
-    FingerprintIndex, GenerationConfig, GenerationError, GenerationReport, MappingMode,
-    MatchOutcome, MatchReport, MatchVerdict,
+    compared_outcome, generate_examples_retrying, generation_signature, pruned_outcome,
+    FingerprintIndex, GenerationConfig, GenerationError, GenerationReport, MatchOutcome,
+    MatchReport, MatchVerdict,
 };
-use dex_modules::{InvocationCache, ModuleId, Retrier};
+use dex_modules::{InvocationCache, ModuleDescriptor, ModuleId, Retrier};
 use dex_pool::InstancePool;
-use dex_repair::{pick_better_substitute, LegacyMatch, MatchingStudy};
+use dex_repair::{pick_better_substitute, substitute_rank, LegacyMatch, MatchingStudy};
 use dex_universe::Universe;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -287,41 +286,31 @@ impl IncrementalPipeline {
         // whose frozen reports may have gone stale while withdrawn) are
         // regenerated only if their signature really changed.
         dirty_candidates.extend(plan_dirty.iter().copied());
-        let mut regen: BTreeSet<usize> = BTreeSet::new();
+        // Slot → the signature it will be regenerated under.
+        let mut regen: BTreeMap<usize, u64> = BTreeMap::new();
         for &i in dirty_candidates.iter().chain(to_restored.iter()) {
             if !self.available[i] {
                 continue;
             }
             stats.dirty_candidates += 1;
-            let descriptor = self
-                .universe
-                .catalog
-                .descriptor(&self.ids[i])
-                .expect("available module has a descriptor");
             let sig = generation_signature(
-                descriptor,
+                self.descriptor(i),
                 &self.universe.ontology,
                 &self.pool,
                 &self.config,
             );
             if sig != self.gen_sigs[i] {
-                regen.insert(i);
+                regen.insert(i, sig);
             }
         }
         let regenerated: Vec<(usize, u64, SharedGeneration)> = regen
             .iter()
-            .map(|&i| {
+            .map(|(&i, &sig)| {
                 let module = self
                     .universe
                     .catalog
                     .get(&self.ids[i])
                     .expect("regeneration targets available modules");
-                let sig = generation_signature(
-                    module.descriptor(),
-                    &self.universe.ontology,
-                    &self.pool,
-                    &self.config,
-                );
                 let report = Arc::new(generate_examples_retrying(
                     module.as_ref(),
                     &self.universe.ontology,
@@ -398,7 +387,7 @@ impl IncrementalPipeline {
                 stats.cells_total += self.deps.cells(i);
             }
         }
-        for &i in &regen {
+        for &i in regen.keys() {
             stats.cells_dirty += self.deps.cells(i);
         }
         stats.publish_telemetry();
@@ -412,36 +401,30 @@ impl IncrementalPipeline {
         );
     }
 
-    /// One pair's outcome, byte-identical to `MatchSession::compare_report`
-    /// semantics: the target's generation error takes precedence, then the
-    /// strict aligned-example comparison (whose own mapping/emptiness error
-    /// precedence lives inside `match_against_examples_retrying`).
+    /// One compared pair's outcome, decided by the same
+    /// [`compared_outcome`] rule as `MatchSession::compare_report`.
     fn pair_outcome(&self, t: usize, c: usize, retrier: &Retrier) -> MatchOutcome {
-        let target = self
-            .universe
-            .catalog
-            .get(&self.ids[t])
-            .expect("compared pairs are available");
         let candidate = self
             .universe
             .catalog
             .get(&self.ids[c])
             .expect("compared pairs are available");
-        match self.reports[t].as_ref() {
-            Err(e) => MatchOutcome::Incomparable(e.to_string()),
-            Ok(report) => match match_against_examples_retrying(
-                target.descriptor(),
-                &report.examples,
-                candidate.as_ref(),
-                &self.universe.ontology,
-                MappingMode::Strict,
-                &self.cache,
-                retrier,
-            ) {
-                Ok(verdict) => MatchOutcome::Verdict(verdict),
-                Err(e) => MatchOutcome::Incomparable(e.to_string()),
-            },
-        }
+        compared_outcome(
+            self.descriptor(t),
+            &self.reports[t],
+            candidate.as_ref(),
+            &self.universe.ontology,
+            &self.cache,
+            retrier,
+        )
+    }
+
+    /// Slot `i`'s descriptor (kept by the catalog across withdrawal).
+    fn descriptor(&self, i: usize) -> &ModuleDescriptor {
+        self.universe
+            .catalog
+            .descriptor(&self.ids[i])
+            .expect("descriptors survive withdrawal")
     }
 
     /// Ranks slot `i`'s current row verdicts into a carried-forward
@@ -504,8 +487,8 @@ impl IncrementalPipeline {
     /// Materializes the dense matching matrix over the currently available
     /// modules — byte-identical to `match_pairs_blocked` over the present
     /// state. Compared pairs come from the maintained verdict store;
-    /// fingerprint-pruned pairs are synthesized invocation-free with the
-    /// same error precedence as `MatchSession::pruned_report`.
+    /// fingerprint-pruned pairs are synthesized invocation-free by the same
+    /// [`pruned_outcome`] rule as `MatchSession::pruned_report_prepared`.
     pub fn matrix(&self) -> BTreeMap<(ModuleId, ModuleId), MatchReport> {
         let slots: Vec<usize> = (0..self.ids.len()).filter(|&i| self.available[i]).collect();
         let mut out = BTreeMap::new();
@@ -524,29 +507,13 @@ impl IncrementalPipeline {
                         .expect("comparable pairs are maintained")
                         .clone()
                 } else {
-                    match self.reports[t].as_ref() {
-                        Err(e) => MatchOutcome::Incomparable(e.to_string()),
-                        Ok(_) => {
-                            let mapping = map_parameters(
-                                self.universe
-                                    .catalog
-                                    .descriptor(&self.ids[t])
-                                    .expect("available module has a descriptor"),
-                                self.universe
-                                    .catalog
-                                    .descriptor(&self.ids[c])
-                                    .expect("available module has a descriptor"),
-                                &self.universe.ontology,
-                                MappingMode::Strict,
-                            );
-                            match mapping {
-                                Err(e) => MatchOutcome::Incomparable(e.to_string()),
-                                Ok(_) => unreachable!(
-                                    "incompatible fingerprints admit no strict mapping"
-                                ),
-                            }
-                        }
-                    }
+                    pruned_outcome(
+                        self.descriptor(t),
+                        &self.reports[t],
+                        self.descriptor(c),
+                        &self.universe.ontology,
+                    )
+                    .expect("incompatible fingerprints admit no strict mapping")
                 };
                 out.insert(
                     (self.ids[t].clone(), self.ids[c].clone()),
@@ -656,18 +623,6 @@ impl IncrementalPipeline {
             candidates_compared: compared,
             ranked,
         })
-    }
-}
-
-/// The §6 study's candidate ordering as a sort key (see
-/// [`pick_better_substitute`]).
-fn substitute_rank(v: &MatchVerdict) -> (u8, f64) {
-    match v {
-        MatchVerdict::Equivalent { .. } => (2, 1.0),
-        MatchVerdict::Overlapping { agreeing, compared } => {
-            (1, *agreeing as f64 / *compared as f64)
-        }
-        MatchVerdict::Disjoint { .. } => (0, 0.0),
     }
 }
 

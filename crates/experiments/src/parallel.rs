@@ -411,9 +411,9 @@ fn publish_session_telemetry(session: &MatchSession) {
 ///
 /// Fingerprint-compatible pairs run the full memoized aligned-example
 /// comparison through the batched executor; pairs pruned by fingerprints
-/// are synthesized serially via [`MatchSession::pruned_report`] (provably
-/// identical, invocation-free) so the returned matrix is byte-identical to
-/// an exhaustive sweep.
+/// are synthesized serially via [`MatchSession::pruned_report_prepared`]
+/// (provably identical, invocation-free) so the returned matrix is
+/// byte-identical to an exhaustive sweep.
 pub fn match_pairs_blocked_in(
     session: &MatchSession,
     universe: &Universe,
@@ -549,7 +549,9 @@ pub fn match_pairs_blocked_summary_unprepared(
     finish_summary(tallies, stats, &session)
 }
 
-fn verdict_slot(outcome: &MatchOutcome) -> usize {
+/// `(equivalent, overlapping, disjoint, incomparable)` slot of an outcome —
+/// the index into a summary tally.
+pub fn verdict_slot(outcome: &MatchOutcome) -> usize {
     match outcome {
         MatchOutcome::Verdict(MatchVerdict::Equivalent { .. }) => 0,
         MatchOutcome::Verdict(MatchVerdict::Overlapping { .. }) => 1,
@@ -575,8 +577,8 @@ fn finish_summary(
     }
     summary.incomparable += stats.pairs_pruned + stats.pairs_unavailable;
     if dex_telemetry::is_enabled() {
-        // Mirror what the dense path's pruned_report calls would have
-        // counted, without synthesizing the reports.
+        // Mirror what the dense path's pruned_report_prepared calls would
+        // have counted, without synthesizing the reports.
         let skipped = (stats.pairs_pruned + stats.pairs_unavailable) as u64;
         dex_telemetry::counter_add("dex.match.pairs", skipped);
         dex_telemetry::counter_add("dex.match.verdict.incomparable", skipped);

@@ -24,7 +24,7 @@ use crate::module::ModuleId;
 use dex_values::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{DefaultHasher, Entry};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -36,7 +36,7 @@ pub type InvocationOutcome = Result<Vec<Value>, InvocationError>;
 /// Cache key: module identity plus the exact input value vector. The hash is
 /// precomputed once (vectors can hold large flat-file texts) and reused by
 /// both shard selection and the shard's `HashMap`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 struct CacheKey {
     module: ModuleId,
     inputs: Vec<Value>,
@@ -67,13 +67,8 @@ impl Hash for CacheKey {
 /// a duplicate.
 type CacheCell = Arc<OnceLock<Arc<InvocationOutcome>>>;
 
-/// One lock-sharded slice of the key space. FIFO insertion order is kept per
-/// shard so a capacity bound can evict the oldest entries.
-#[derive(Default)]
-struct Shard {
-    map: HashMap<CacheKey, CacheCell>,
-    fifo: VecDeque<CacheKey>,
-}
+/// One lock-sharded slice of the key space.
+type Shard = HashMap<CacheKey, CacheCell>;
 
 /// Snapshot of an [`InvocationCache`]'s behavior, serializable into run
 /// reports (`TELEMETRY.json`, `BENCH_invocation.json`).
@@ -87,8 +82,6 @@ pub struct InvocationCacheStats {
     pub hits: u64,
     /// Lookups that created a fresh entry and invoked the module.
     pub misses: u64,
-    /// Entries dropped by the capacity bound.
-    pub evictions: u64,
     /// Transient outcomes handed through (and immediately forgotten) instead
     /// of being memoized.
     pub transients: u64,
@@ -125,10 +118,8 @@ fn cache_counters() -> &'static (
     dex_telemetry::Counter,
     dex_telemetry::Counter,
     dex_telemetry::Counter,
-    dex_telemetry::Counter,
 ) {
     static COUNTERS: OnceLock<(
-        dex_telemetry::Counter,
         dex_telemetry::Counter,
         dex_telemetry::Counter,
         dex_telemetry::Counter,
@@ -137,7 +128,6 @@ fn cache_counters() -> &'static (
         (
             dex_telemetry::counter("dex.invoke.cache.hits"),
             dex_telemetry::counter("dex.invoke.cache.misses"),
-            dex_telemetry::counter("dex.invoke.cache.evictions"),
             dex_telemetry::counter("dex.invoke.cache.transients"),
         )
     })
@@ -152,8 +142,6 @@ fn cache_counters() -> &'static (
 ///   missing key, one invokes and N−1 block on the cell, so a vector is
 ///   never invoked twice (see the `tests/invocation_cache.rs` concurrency
 ///   suite).
-/// * **Bounded (optionally)**: `with_capacity` caps the total entry count;
-///   the oldest entries of the fullest shard are evicted FIFO.
 /// * **Transient-aware**: outcomes whose error
 ///   [`InvocationError::is_transient`] holds are handed through to the
 ///   racing callers and then *forgotten* — only successes and permanent
@@ -162,11 +150,8 @@ fn cache_counters() -> &'static (
 ///   telemetry counters when the global subscriber is on.
 pub struct InvocationCache {
     shards: Box<[Mutex<Shard>]>,
-    /// Max entries per shard (`None` = unbounded).
-    per_shard_capacity: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
     transients: AtomicU64,
 }
 
@@ -180,26 +165,14 @@ impl InvocationCache {
     /// Number of lock shards (power of two; shard = hash low bits).
     pub const SHARDS: usize = 16;
 
-    /// An unbounded cache.
+    /// An empty, unbounded cache: an entry lives as long as the cache.
     pub fn new() -> InvocationCache {
-        InvocationCache::build(None)
-    }
-
-    /// A cache holding at most `capacity` entries (rounded up to a multiple
-    /// of the shard count); the oldest entries are evicted first.
-    pub fn with_capacity(capacity: usize) -> InvocationCache {
-        InvocationCache::build(Some(capacity.div_ceil(Self::SHARDS).max(1)))
-    }
-
-    fn build(per_shard_capacity: Option<usize>) -> InvocationCache {
-        let mut shards = Vec::with_capacity(Self::SHARDS);
-        shards.resize_with(Self::SHARDS, || Mutex::new(Shard::default()));
         InvocationCache {
-            shards: shards.into_boxed_slice(),
-            per_shard_capacity,
+            shards: (0..Self::SHARDS)
+                .map(|_| Mutex::new(Shard::default()))
+                .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             transients: AtomicU64::new(0),
         }
     }
@@ -221,54 +194,9 @@ impl InvocationCache {
         let telemetry_on = dex_telemetry::is_enabled();
         let (cell, fresh) = {
             let mut shard = self.shard(&key).lock().expect("no poisoning");
-            match shard.map.entry(key.clone()) {
+            match shard.entry(key) {
                 Entry::Occupied(occupied) => (Arc::clone(occupied.get()), false),
-                Entry::Vacant(vacant) => {
-                    let cell: CacheCell = Arc::new(OnceLock::new());
-                    vacant.insert(Arc::clone(&cell));
-                    shard.fifo.push_back(key);
-                    if let Some(cap) = self.per_shard_capacity {
-                        // One pass over the FIFO at most: entries whose
-                        // invocation is still in flight are rotated to the
-                        // back instead of evicted — dropping an uninitialized
-                        // cell would let a later lookup re-invoke the same
-                        // vector concurrently, breaking exactly-once. The
-                        // bound can be exceeded transiently while every
-                        // entry is in flight.
-                        let mut attempts = shard.fifo.len();
-                        while shard.fifo.len() > cap && attempts > 0 {
-                            attempts -= 1;
-                            let Some(old) = shard.fifo.pop_front() else {
-                                break;
-                            };
-                            match shard.map.get(&old) {
-                                Some(cell) if cell.get().is_none() => {
-                                    shard.fifo.push_back(old);
-                                }
-                                Some(_) => {
-                                    shard.map.remove(&old);
-                                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                                    if telemetry_on {
-                                        cache_counters().2.add(1);
-                                    }
-                                    if dex_telemetry::flight_on() {
-                                        dex_telemetry::flight(
-                                            dex_telemetry::FlightKind::CacheEviction,
-                                            old.module.as_str(),
-                                            "fifo eviction".to_string(),
-                                            shard.map.len() as u64,
-                                        );
-                                    }
-                                }
-                                // The FIFO can hold keys whose entry a
-                                // transient forget already removed — dropping
-                                // the stale key is not an eviction.
-                                None => {}
-                            }
-                        }
-                    }
-                    (cell, true)
-                }
+                Entry::Vacant(vacant) => (Arc::clone(vacant.insert(CacheCell::default())), true),
             }
         };
         if fresh {
@@ -307,7 +235,7 @@ impl InvocationCache {
         if transient {
             self.transients.fetch_add(1, Ordering::Relaxed);
             if telemetry_on {
-                cache_counters().3.add(1);
+                cache_counters().2.add(1);
             }
         }
         if !fresh {
@@ -328,48 +256,16 @@ impl InvocationCache {
     }
 
     /// Removes the entry for `(module, inputs)` if it still holds `cell` —
-    /// a newer cell (inserted after an earlier forget, or after eviction)
-    /// must not be clobbered by a stale transient outcome.
+    /// a newer cell (inserted after an earlier forget) must not be clobbered
+    /// by a stale transient outcome.
     fn forget_transient(&self, module: &dyn BlackBox, inputs: &[Value], cell: &CacheCell) {
         let key = CacheKey::new(&module.descriptor().id, inputs);
         let mut shard = self.shard(&key).lock().expect("no poisoning");
         if shard
-            .map
             .get(&key)
             .is_some_and(|current| Arc::ptr_eq(current, cell))
         {
-            shard.map.remove(&key);
-            shard.fifo.retain(|k| k != &key);
-        }
-    }
-
-    /// The memoized outcome for `(module, inputs)`, if present and
-    /// initialized — never invokes.
-    pub fn peek(&self, module: &ModuleId, inputs: &[Value]) -> Option<Arc<InvocationOutcome>> {
-        let key = CacheKey::new(module, inputs);
-        let shard = self.shard(&key).lock().expect("no poisoning");
-        shard.map.get(&key).and_then(|cell| cell.get().cloned())
-    }
-
-    /// Entries currently held.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("no poisoning").map.len())
-            .sum()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every entry; counters are kept (they describe lifetime traffic).
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock().expect("no poisoning");
-            shard.map.clear();
-            shard.fifo.clear();
+            shard.remove(&key);
         }
     }
 
@@ -379,9 +275,8 @@ impl InvocationCache {
         let mut memoized_transients = 0;
         for shard in self.shards.iter() {
             let shard = shard.lock().expect("no poisoning");
-            entries += shard.map.len();
+            entries += shard.len();
             memoized_transients += shard
-                .map
                 .values()
                 .filter(|cell| {
                     matches!(cell.get().map(|o| o.as_ref()), Some(Err(e)) if e.is_transient())
@@ -391,7 +286,6 @@ impl InvocationCache {
         InvocationCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
             transients: self.transients.load(Ordering::Relaxed),
             entries,
             memoized_transients,
@@ -487,40 +381,12 @@ mod tests {
             cache.invoke(&module, &[Value::text(text)]);
         }
         assert_eq!(invoked.load(Ordering::Relaxed), 3);
-        assert_eq!(cache.len(), 3);
-        assert!(cache
-            .peek(&module.descriptor().id, &[Value::text("b")])
-            .is_some());
-        assert!(cache
-            .peek(&module.descriptor().id, &[Value::text("z")])
-            .is_none());
-    }
-
-    #[test]
-    fn capacity_bound_evicts_oldest() {
-        // Capacity rounds up to one entry per shard; 40 distinct keys over 16
-        // shards must evict at least one entry somewhere.
-        let cache = InvocationCache::with_capacity(16);
-        let (module, _) = counted_upper();
-        for i in 0..40 {
-            cache.invoke(&module, &[Value::text(format!("v{i}"))]);
-        }
-        let stats = cache.stats();
-        assert!(stats.evictions > 0, "evictions occurred");
-        assert!(stats.entries <= 16, "bounded: {} entries", stats.entries);
-        assert_eq!(stats.misses, 40);
-    }
-
-    #[test]
-    fn clear_keeps_counters() {
-        let cache = InvocationCache::new();
-        let (module, _) = counted_upper();
-        cache.invoke(&module, &[Value::text("x")]);
-        cache.invoke(&module, &[Value::text("x")]);
-        cache.clear();
-        assert!(cache.is_empty());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 0));
+        assert_eq!(cache.stats().entries, 3);
+        cache.invoke(&module, &[Value::text("b")]);
+        assert_eq!(invoked.load(Ordering::Relaxed), 3, "\"b\" is memoized");
+        cache.invoke(&module, &[Value::text("z")]);
+        assert_eq!(invoked.load(Ordering::Relaxed), 4, "\"z\" is not");
+        assert_eq!(cache.stats().entries, 4);
     }
 
     #[test]

@@ -26,6 +26,7 @@ pub use engine::{
     repair_repository, repair_repository_with, RepairOutcome, RepairStatus, RepairSummary,
 };
 pub use matching::{
-    pick_better_substitute, run_matching_study, run_matching_study_with, LegacyMatch, MatchingStudy,
+    pick_better_substitute, run_matching_study, run_matching_study_with, substitute_rank,
+    LegacyMatch, MatchingStudy,
 };
 pub use repository::{generate_repository, RepositoryPlan, StoredWorkflow, WorkflowRepository};

@@ -220,24 +220,27 @@ pub fn pick_better_substitute(
     current: Option<(ModuleId, MatchVerdict)>,
     challenger: (ModuleId, MatchVerdict),
 ) -> Option<(ModuleId, MatchVerdict)> {
-    fn rank(v: &MatchVerdict) -> (u8, f64) {
-        match v {
-            MatchVerdict::Equivalent { .. } => (2, 1.0),
-            MatchVerdict::Overlapping { agreeing, compared } => {
-                (1, *agreeing as f64 / *compared as f64)
-            }
-            MatchVerdict::Disjoint { .. } => (0, 0.0),
-        }
-    }
     match current {
         None => Some(challenger),
         Some(current) => {
-            if rank(&challenger.1) > rank(&current.1) {
+            if substitute_rank(&challenger.1) > substitute_rank(&current.1) {
                 Some(challenger)
             } else {
                 Some(current)
             }
         }
+    }
+}
+
+/// The study's candidate ordering as a sort key: higher is better (see
+/// [`pick_better_substitute`]).
+pub fn substitute_rank(v: &MatchVerdict) -> (u8, f64) {
+    match v {
+        MatchVerdict::Equivalent { .. } => (2, 1.0),
+        MatchVerdict::Overlapping { agreeing, compared } => {
+            (1, *agreeing as f64 / *compared as f64)
+        }
+        MatchVerdict::Disjoint { .. } => (0, 0.0),
     }
 }
 

@@ -16,7 +16,7 @@
 //!   [`current_context`] and hand it to workers so their spans stitch under
 //!   the spawning span instead of becoming orphan roots.
 //! * [`flight`] records structured moments (invocation outcomes, retries,
-//!   evictions, fault injections, deltas) into a fixed-capacity lock-free
+//!   fault injections, withdrawals, deltas) into a fixed-capacity lock-free
 //!   ring; [`dump_flight`] writes the recent window to `FLIGHT.json` as a
 //!   post-mortem on panic or module withdrawal.
 //! * [`trace::chrome_trace_json`] exports the stitched span forest as

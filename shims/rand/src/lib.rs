@@ -1,8 +1,9 @@
 //! Offline shim for the `rand` crate (the subset this workspace uses).
 //!
-//! Provides a deterministic [`StdRng`] built on xoshiro256++ (seeded through
-//! SplitMix64), the [`SeedableRng`] seeding entry point, and the [`Rng`]
-//! extension trait with `gen` / `gen_range` over integer and float ranges.
+//! Provides a deterministic [`StdRng`](rngs::StdRng) built on xoshiro256++
+//! (seeded through SplitMix64), the [`SeedableRng`] seeding entry point, and
+//! the [`Rng`] extension trait with `gen` / `gen_range` over integer and
+//! float ranges.
 //!
 //! The stream differs from the real crate's ChaCha-based `StdRng`; everything
 //! in this workspace treats seeds as opaque determinism handles, not as
