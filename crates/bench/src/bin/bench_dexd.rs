@@ -31,7 +31,9 @@
 //! Gates:
 //! - release builds, `--ci`, scale >= 10000: the steady-state
 //!   `FindSubstitutes` p50 must be at least **100x** faster than the cold
-//!   batch-pipeline single query;
+//!   batch-pipeline single query, and the `Stats` p50 at most **2x** the
+//!   `FindSubstitutes` p50 (a bookkeeping read must cost what a lookup
+//!   costs, not scale with the invocation cache);
 //! - `--ci`: the socket smoke must have run;
 //! - when the smoke ran: its cache hit rate is nonzero, its `ApplyDelta`
 //!   was counted, and the daemon shut down cleanly.
@@ -53,6 +55,8 @@ use std::time::{Duration, Instant};
 
 /// Gate floor: cold single query over steady-state substitutes p50.
 const MIN_AMORTIZATION: f64 = 100.0;
+/// Gate ceiling: steady-state stats p50 over substitutes p50.
+const MAX_STATS_OVER_SUBSTITUTES: f64 = 2.0;
 /// `ApplyDelta` waves interleaved with the read workload.
 const DELTA_WAVES: usize = 4;
 /// Modules withdrawn (then restored) per wave.
@@ -338,14 +342,15 @@ fn main() {
         v.sort_by(f64::total_cmp);
     }
     let sub_p50_us = percentile(&by_kind[KIND_SUBSTITUTES as usize], 0.50);
+    let stats_p50_us = percentile(&by_kind[KIND_STATS as usize], 0.50);
     let amortization_ratio = if sub_p50_us > 0.0 {
         (cold_single_query_ms * 1000.0) / sub_p50_us
     } else {
         f64::INFINITY
     };
     eprintln!(
-        "bench_dexd: substitutes p50 {sub_p50_us:.1} us steady-state — \
-         amortization {amortization_ratio:.0}x over cold"
+        "bench_dexd: substitutes p50 {sub_p50_us:.1} us, stats p50 {stats_p50_us:.1} us \
+         steady-state — amortization {amortization_ratio:.0}x over cold"
     );
 
     // ---- Phase 3: socket smoke (traced when tracing was requested). ----
@@ -363,6 +368,12 @@ fn main() {
             Op::Ge,
             MIN_AMORTIZATION,
             amortization_ratio,
+        );
+        bench.gate(
+            "stats_p50_us",
+            Op::Le,
+            MAX_STATS_OVER_SUBSTITUTES * sub_p50_us,
+            stats_p50_us,
         );
     }
     if ci {

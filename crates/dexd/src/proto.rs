@@ -246,11 +246,16 @@ pub fn read_message<T: serde::Deserialize>(r: &mut impl Read) -> io::Result<T> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn requests_round_trip_through_frames() {
-        let requests = vec![
+    /// One request of every shape the daemon decodes.
+    fn sample_requests() -> Vec<Request> {
+        let mut workflow = Workflow::builder("wf:probe", "Probe");
+        workflow.step("fetch", "m4");
+        vec![
             Request::AnnotateModule { id: "m1".into() },
             Request::FindSubstitutes { id: "m2".into() },
+            Request::ValidateWorkflow {
+                workflow: workflow.build(),
+            },
             Request::ApplyDelta {
                 deltas: vec![
                     Delta::ModuleWithdraw { id: "m3".into() },
@@ -260,7 +265,12 @@ mod tests {
             Request::Stats,
             Request::Shutdown,
             Request::Chaos { hold_write: true },
-        ];
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip_through_frames() {
+        let requests = sample_requests();
         let mut buf = Vec::new();
         for r in &requests {
             write_message(&mut buf, r).unwrap();
@@ -281,6 +291,105 @@ mod tests {
         buf.extend_from_slice(b"junk");
         let err = read_frame(&mut &buf[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Counts the bytes the current thread asks the allocator for, so a test
+    /// can prove a decode path never sized a buffer from an untrusted length.
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOCATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    fn count_allocation(bytes: usize) {
+        // `try_with`: the allocator also runs while thread-locals are torn down.
+        let _ = ALLOCATED.try_with(|total| total.set(total.get() + bytes));
+    }
+
+    fn allocated_by_this_thread() -> usize {
+        ALLOCATED.with(std::cell::Cell::get)
+    }
+
+    // SAFETY: every method forwards to `System` unchanged; the counter is a
+    // const-initialized thread-local `Cell`, which never allocates.
+    unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            count_allocation(layout.size());
+            std::alloc::System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+            count_allocation(layout.size());
+            std::alloc::System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(
+            &self,
+            ptr: *mut u8,
+            layout: std::alloc::Layout,
+            new_size: usize,
+        ) -> *mut u8 {
+            count_allocation(new_size);
+            std::alloc::System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: CountingAlloc = CountingAlloc;
+
+    proptest::proptest! {
+        #[test]
+        fn every_length_prefix_above_max_frame_is_refused_before_allocating(
+            len in (MAX_FRAME as u64 + 1)..(u64::from(u32::MAX) + 1),
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+        ) {
+            let mut buf = (len as u32).to_le_bytes().to_vec();
+            buf.extend_from_slice(&tail);
+            let before = allocated_by_this_thread();
+            let frame = read_frame(&mut &buf[..]).map(|_| ());
+            let message = read_message::<Request>(&mut &buf[..]).map(|_| ());
+            let spent = allocated_by_this_thread() - before;
+            for result in [frame, message] {
+                let kind = result.expect_err("oversized frame accepted").kind();
+                proptest::prop_assert_eq!(kind, io::ErrorKind::InvalidData);
+            }
+            // Two error messages' worth, nowhere near the announced length.
+            proptest::prop_assert!(
+                spent < 1024,
+                "refusing a {len}-byte prefix allocated {spent} bytes"
+            );
+        }
+
+        #[test]
+        fn single_byte_mutations_of_valid_frames_decode_or_error(
+            which in proptest::prelude::any::<proptest::sample::Index>(),
+            at in proptest::prelude::any::<proptest::sample::Index>(),
+            byte in proptest::prelude::any::<u8>(),
+        ) {
+            let requests = sample_requests();
+            let request = &requests[which.index(requests.len())];
+            let mut frame = Vec::new();
+            write_message(&mut frame, request).unwrap();
+            let mut mutated = frame.clone();
+            let at = at.index(mutated.len());
+            mutated[at] = byte;
+            match read_message::<Request>(&mut &mutated[..]) {
+                Ok(decoded) if mutated == frame => proptest::prop_assert_eq!(&decoded, request),
+                Ok(_) => {}
+                // A grown length prefix runs past the bytes present.
+                Err(e) => proptest::prop_assert!(
+                    matches!(
+                        e.kind(),
+                        io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                    ),
+                    "byte {at} set to {byte:#04x} failed with {e:?}"
+                ),
+            }
+        }
     }
 
     #[test]

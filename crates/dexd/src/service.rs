@@ -24,13 +24,15 @@
 //! Requests pass an admission gate (a counter capped at the configured
 //! queue capacity) before entering the bounded queue; past the cap the
 //! caller gets [`Response::Busy`] immediately — memory is bounded by
-//! construction, never by luck. Each admitted request carries a `Ticket`
-//! whose `Drop` releases the slot, so a worker panic or a vanished client
-//! cannot leak admission capacity. Worker threads drain the queue;
-//! a `FindSubstitutes` at the head pulls every other queued substitute
-//! lookup into one batch, grouped by fingerprint bucket, and answers the
-//! whole batch under a single read acquisition. Each lookup still runs its
-//! own row scan of the verdict matrix; what the batch shares is the lock.
+//! construction, never by luck — and, with the flight recorder on, a
+//! [`dex_telemetry::FlightKind::Busy`] event is recorded. Each admitted
+//! request carries a `Ticket` whose `Drop` releases the slot, so a worker
+//! panic or a vanished client cannot leak admission capacity. Worker
+//! threads drain the queue; a `FindSubstitutes` at the head pulls every
+//! other queued substitute lookup into one batch, grouped by fingerprint
+//! bucket, and answers the whole batch under a single read acquisition.
+//! Each lookup still runs its own row scan of the verdict matrix; what the
+//! batch shares is the lock.
 //!
 //! Handlers run inside `catch_unwind`: a panic becomes a
 //! [`Response::Error`] (counted in [`StatsReply::handler_panics`]), the
@@ -234,6 +236,14 @@ impl Dexd {
         let Some(ticket) = self.try_admit() else {
             self.counters.busy.fetch_add(1, Ordering::Relaxed);
             dex_telemetry::counter_add("dex.dexd.busy", 1);
+            if dex_telemetry::flight_on() {
+                dex_telemetry::flight(
+                    dex_telemetry::FlightKind::Busy,
+                    req.endpoint(),
+                    "admission limit reached".to_string(),
+                    self.capacity as u64,
+                );
+            }
             return Response::Busy;
         };
         let (tx, rx) = mpsc::channel();

@@ -139,7 +139,10 @@ fn injected_panics_and_busy_storm_leave_state_unpoisoned() {
     );
 
     // ---- Busy storm: capacity 2, eight concurrent blocking callers. ----
-    // Busy rejections must be immediate, leak nothing, and poison nothing.
+    // Busy rejections must be immediate, leak nothing, and poison nothing,
+    // and with the flight recorder on each one leaves a `Busy` event.
+    dex_telemetry::enable();
+    dex_telemetry::set_flight_enabled(true);
     std::thread::scope(|scope| {
         for t in 0..8usize {
             let client = client.clone();
@@ -163,6 +166,20 @@ fn injected_panics_and_busy_storm_leave_state_unpoisoned() {
         }
     });
     assert_drains(&svc);
+    // `value` is the admission limit, which tells this service's events
+    // apart from any other test's sharing the process-wide recorder.
+    let busy_events: Vec<_> = dex_telemetry::flight_snapshot()
+        .into_iter()
+        .filter(|e| e.kind == dex_telemetry::FlightKind::Busy && e.value == 2)
+        .collect();
+    assert!(
+        !busy_events.is_empty(),
+        "the storm's Busy rejections reached the flight recorder"
+    );
+    assert!(
+        busy_events.iter().all(|e| e.target == "substitutes"),
+        "only substitute lookups were refused: {busy_events:?}"
+    );
 
     let s = stats(&client);
     assert_eq!(s.handler_panics, 2, "both chaos panics must be counted");

@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The memoized result of one invocation: the module's outputs, or the error
@@ -85,15 +85,12 @@ pub struct InvocationCacheStats {
     /// Transient outcomes handed through (and immediately forgotten) instead
     /// of being memoized.
     pub transients: u64,
-    /// Entries currently held across all shards.
+    /// Entries currently held across all shards. Counted as cells are
+    /// inserted and forgotten, so reading it never walks the shards. Every
+    /// entry holds a success, a permanent error, or an invocation still in
+    /// flight — never a transient error (see
+    /// [`InvocationCache::memoized_transients`]).
     pub entries: usize,
-    /// Initialized entries currently holding a transient error — the
-    /// invariant is that this is always `0` *at every instant*, not just at
-    /// quiescence: transient entries are forgotten before their cell is
-    /// published, so even a `stats()` racing with the failing invocation
-    /// cannot observe one. Reported so callers (and the stress tests) can
-    /// assert it mid-run.
-    pub memoized_transients: usize,
 }
 
 impl InvocationCacheStats {
@@ -147,9 +144,19 @@ fn cache_counters() -> &'static (
 ///   racing callers and then *forgotten* — only successes and permanent
 ///   errors are memoized.
 /// * **Observable**: per-cache atomic counters plus `dex.invoke.cache.*`
-///   telemetry counters when the global subscriber is on.
+///   telemetry counters when the global subscriber is on. [`stats`] reads
+///   only those counters — O(1), no shard lock — so a serving path can
+///   call it per request; the O(entries) transient audit is the separate
+///   [`memoized_transients`].
+///
+/// [`stats`]: InvocationCache::stats
+/// [`memoized_transients`]: InvocationCache::memoized_transients
 pub struct InvocationCache {
     shards: Box<[Mutex<Shard>]>,
+    /// Cells across all shards; changed only under the owning shard's lock,
+    /// in the same critical section as the map insert or remove. Relaxed
+    /// like the other counters: it is a statistic and publishes no data.
+    entries: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
     transients: AtomicU64,
@@ -171,6 +178,7 @@ impl InvocationCache {
             shards: (0..Self::SHARDS)
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
+            entries: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             transients: AtomicU64::new(0),
@@ -196,7 +204,10 @@ impl InvocationCache {
             let mut shard = self.shard(&key).lock().expect("no poisoning");
             match shard.entry(key) {
                 Entry::Occupied(occupied) => (Arc::clone(occupied.get()), false),
-                Entry::Vacant(vacant) => (Arc::clone(vacant.insert(CacheCell::default())), true),
+                Entry::Vacant(vacant) => {
+                    self.entries.fetch_add(1, Ordering::Relaxed);
+                    (Arc::clone(vacant.insert(CacheCell::default())), true)
+                }
             }
         };
         if fresh {
@@ -223,7 +234,7 @@ impl InvocationCache {
             }
             if matches!(outcome.as_ref(), Err(e) if e.is_transient()) {
                 // State-dependent failure: forget the entry *before* the
-                // cell is published, so no concurrent `stats()` can ever
+                // cell is published, so no concurrent audit can ever
                 // observe a memoized transient — the waiters blocked on
                 // this cell still receive the outcome, but the map never
                 // holds an initialized transient entry.
@@ -257,7 +268,7 @@ impl InvocationCache {
 
     /// Removes the entry for `(module, inputs)` if it still holds `cell` —
     /// a newer cell (inserted after an earlier forget) must not be clobbered
-    /// by a stale transient outcome.
+    /// by a stale transient outcome, nor uncounted from `entries`.
     fn forget_transient(&self, module: &dyn BlackBox, inputs: &[Value], cell: &CacheCell) {
         let key = CacheKey::new(&module.descriptor().id, inputs);
         let mut shard = self.shard(&key).lock().expect("no poisoning");
@@ -266,30 +277,47 @@ impl InvocationCache {
             .is_some_and(|current| Arc::ptr_eq(current, cell))
         {
             shard.remove(&key);
+            self.entries.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
-    /// Snapshot of the cache's lifetime behavior.
+    /// Snapshot of the cache's lifetime behavior: four relaxed atomic loads,
+    /// no shard lock. Each counter only moves forward except `entries`, which
+    /// is exact at quiescence and, mid-run, never exceeds the number of
+    /// distinct keys looked up (a key's insert and forget are ordered by its
+    /// shard lock).
     pub fn stats(&self) -> InvocationCacheStats {
-        let mut entries = 0;
-        let mut memoized_transients = 0;
-        for shard in self.shards.iter() {
-            let shard = shard.lock().expect("no poisoning");
-            entries += shard.len();
-            memoized_transients += shard
-                .values()
-                .filter(|cell| {
-                    matches!(cell.get().map(|o| o.as_ref()), Some(Err(e)) if e.is_transient())
-                })
-                .count();
-        }
         InvocationCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             transients: self.transients.load(Ordering::Relaxed),
-            entries,
-            memoized_transients,
+            entries: self.entries.load(Ordering::Relaxed),
         }
+    }
+
+    /// Audits the transient invariant: the number of entries whose published
+    /// outcome is a transient error. It is `0` *at every instant*, not just
+    /// at quiescence, because a transient cell is forgotten before it is
+    /// published — an audit racing with the failing invocation cannot
+    /// observe one.
+    ///
+    /// O(entries): locks each shard in turn and walks every cell. Tests and
+    /// one-off audits call it; serving paths read [`stats`] instead.
+    ///
+    /// [`stats`]: InvocationCache::stats
+    pub fn memoized_transients(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| {
+                let shard = shard.lock().expect("no poisoning");
+                shard
+                    .values()
+                    .filter(|cell| {
+                        matches!(cell.get().map(|o| o.as_ref()), Some(Err(e)) if e.is_transient())
+                    })
+                    .count()
+            })
+            .sum()
     }
 
     /// Publishes this cache's stats as `dex.invoke.cache.*` gauges so they
@@ -315,7 +343,6 @@ mod tests {
     use crate::module::{ModuleDescriptor, ModuleKind};
     use crate::param::Parameter;
     use dex_values::StructuralType;
-    use std::sync::atomic::AtomicUsize;
 
     fn counted_upper() -> (FnModule, Arc<AtomicUsize>) {
         let count = Arc::new(AtomicUsize::new(0));
@@ -459,7 +486,7 @@ mod tests {
         assert_eq!(invoked.load(Ordering::Relaxed), 3);
         let stats = cache.stats();
         assert_eq!(stats.transients, 3);
-        assert_eq!(stats.memoized_transients, 0, "invariant: never stored");
+        assert_eq!(cache.memoized_transients(), 0, "invariant: never stored");
         assert_eq!(stats.entries, 0);
 
         // Recovery: once the outage lifts, the success is memoized again.
@@ -468,7 +495,7 @@ mod tests {
         assert_eq!(ok.as_ref().as_ref().unwrap(), &vec![Value::text("X")]);
         cache.invoke(&module, &[Value::text("x")]);
         assert_eq!(invoked.load(Ordering::Relaxed), 4, "second lookup hit");
-        assert_eq!(cache.stats().memoized_transients, 0);
+        assert_eq!(cache.memoized_transients(), 0);
     }
 
     #[test]
@@ -485,6 +512,8 @@ mod tests {
         let _ = cache.invoke(&module, &[Value::text("k")]);
         let _ = cache.invoke(&module, &[Value::text("k")]);
         assert_eq!(invoked.load(Ordering::Relaxed), 2, "outage + one success");
+        // The incremental count: one insert per fresh cell, one decrement
+        // per cell the forget actually removed.
         assert_eq!(cache.stats().entries, 1);
     }
 }

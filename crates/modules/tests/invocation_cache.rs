@@ -143,10 +143,12 @@ fn parallel_executor_is_exactly_once_across_duplicate_heavy_input() {
 /// The batched blocked executor's access pattern (ISSUE 6): workers claim
 /// *chunks* of a worklist off an atomic cursor, keys repeat across chunks,
 /// and every key faults transiently on its first attempt. While the run is
-/// in flight, a sampler thread polls `stats()` continuously — the
-/// `memoized_transients == 0` invariant must hold at every instant, not
+/// in flight, a sampler thread polls the cache continuously — the
+/// `memoized_transients() == 0` invariant must hold at every instant, not
 /// just at quiescence (transient entries are forgotten *before* their cell
-/// publishes), and the hit/miss/transient ledger must balance exactly.
+/// publishes); the incrementally kept `stats().entries` never exceeds the
+/// distinct keys, and `hits`/`misses` never run backwards. At quiescence
+/// the hit/miss/transient ledger must balance exactly.
 #[test]
 fn bucket_chunked_access_keeps_stats_invariants_mid_run() {
     const KEYS: usize = 12;
@@ -215,21 +217,34 @@ fn bucket_chunked_access_keeps_stats_invariants_mid_run() {
                 }
             });
         }
-        // The sampler: hammers stats() for the whole run, asserting the
-        // invariant the old code violated in the window between cell
-        // publication and the post-hoc forget.
+        // The sampler: hammers the transient audit for the whole run,
+        // asserting the invariant the old code violated in the window
+        // between cell publication and the post-hoc forget, and checks the
+        // O(1) counters against what concurrent inserts and forgets allow.
         let cache = &cache;
         let done = &done;
         let barrier = &barrier;
         let sampler = scope.spawn(move || {
             barrier.wait();
             let mut samples = 0usize;
+            let mut last = cache.stats();
             while !done.load(Ordering::Relaxed) {
-                let stats = cache.stats();
                 assert_eq!(
-                    stats.memoized_transients, 0,
+                    cache.memoized_transients(),
+                    0,
                     "observed a memoized transient mid-run after {samples} clean samples"
                 );
+                let stats = cache.stats();
+                assert!(
+                    stats.entries <= KEYS,
+                    "{} entries counted for {KEYS} keys after {samples} samples",
+                    stats.entries
+                );
+                assert!(
+                    stats.hits >= last.hits && stats.misses >= last.misses,
+                    "counters ran backwards: {last:?} then {stats:?}"
+                );
+                last = stats;
                 samples += 1;
             }
             samples
@@ -251,7 +266,7 @@ fn bucket_chunked_access_keeps_stats_invariants_mid_run() {
         assert_eq!(*count, 2, "key {key} invoked {count} times");
     }
     let stats = cache.stats();
-    assert_eq!(stats.memoized_transients, 0);
+    assert_eq!(cache.memoized_transients(), 0);
     assert_eq!(stats.entries, KEYS, "only successes are memoized");
     assert_eq!(
         stats.misses as usize,
@@ -372,7 +387,7 @@ fn withdrawn_then_restored_module_recovers_through_the_cache() {
     );
     let stats = cache.stats();
     assert_eq!(stats.transients, 2, "both outage lookups passed through");
-    assert_eq!(stats.memoized_transients, 0);
+    assert_eq!(cache.memoized_transients(), 0);
     assert_eq!(counts.lock().unwrap()["during-outage"], 1, "one real run");
 }
 
@@ -439,11 +454,12 @@ fn racing_retriers_share_exactly_one_eventual_success() {
         1,
         "exactly-once still holds for the success"
     );
-    let stats = cache.stats();
     assert_eq!(
-        stats.memoized_transients, 0,
+        cache.memoized_transients(),
+        0,
         "no cell seeded with a transient"
     );
+    let stats = cache.stats();
     assert!(
         stats.transients >= 1,
         "the cold-start faults passed through"

@@ -50,6 +50,9 @@ pub enum FlightKind {
     DeltaApplied,
     /// A panic unwound through the telemetry panic hook.
     Panic,
+    /// A service refused a request at admission because it was at capacity
+    /// (`target` = endpoint, `value` = the admission limit).
+    Busy,
 }
 
 /// One recorded moment.
