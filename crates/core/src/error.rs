@@ -38,6 +38,14 @@ impl fmt::Display for GenerationError {
 
 impl std::error::Error for GenerationError {}
 
+impl GenerationError {
+    /// The incomparability of a replay with nothing to replay: a verdict
+    /// over zero examples could not be honest.
+    pub fn no_examples() -> GenerationError {
+        GenerationError::Incomparable("no data examples to compare against".to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

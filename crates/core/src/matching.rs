@@ -7,7 +7,6 @@ use crate::generate::{
 };
 use dex_modules::{
     BlackBox, InvocationCache, InvocationCacheStats, ModuleDescriptor, ModuleId, Retrier,
-    RetryStats,
 };
 use dex_ontology::Ontology;
 use dex_pool::InstancePool;
@@ -57,6 +56,27 @@ pub enum MatchVerdict {
 }
 
 impl MatchVerdict {
+    /// The verdict of `agreeing` out of `compared` replayed examples
+    /// (`compared ≥ 1`): all agree, none agree, or some do.
+    pub fn from_counts(agreeing: usize, compared: usize) -> MatchVerdict {
+        if agreeing == compared {
+            MatchVerdict::Equivalent { compared }
+        } else if agreeing == 0 {
+            MatchVerdict::Disjoint { compared }
+        } else {
+            MatchVerdict::Overlapping { agreeing, compared }
+        }
+    }
+
+    /// How many replayed examples agreed.
+    pub fn agreeing(&self) -> usize {
+        match *self {
+            MatchVerdict::Equivalent { compared } => compared,
+            MatchVerdict::Overlapping { agreeing, .. } => agreeing,
+            MatchVerdict::Disjoint { .. } => 0,
+        }
+    }
+
     /// Whether the verdict suggests the candidate can replace the target in
     /// at least part of the target's domain.
     pub fn is_usable(&self) -> bool {
@@ -224,9 +244,7 @@ pub fn match_against_examples_retrying(
 ) -> Result<MatchVerdict, GenerationError> {
     let mapping = map_parameters(target, candidate.descriptor(), ontology, mode)?;
     if examples.is_empty() {
-        return Err(GenerationError::Incomparable(
-            "no data examples to compare against".to_string(),
-        ));
+        return Err(GenerationError::no_examples());
     }
     let mut compared = 0usize;
     let mut agreeing = 0usize;
@@ -254,13 +272,7 @@ pub fn match_against_examples_retrying(
             agreeing += 1;
         }
     }
-    Ok(if agreeing == compared {
-        MatchVerdict::Equivalent { compared }
-    } else if agreeing == 0 {
-        MatchVerdict::Disjoint { compared }
-    } else {
-        MatchVerdict::Overlapping { agreeing, compared }
-    })
+    Ok(MatchVerdict::from_counts(agreeing, compared))
 }
 
 /// Compares two live modules by generating *aligned* data examples for the
@@ -538,18 +550,17 @@ impl BlockingStats {
 /// Fingerprint buckets over a module list: index `i` of the constructed
 /// slice corresponds to the `i`-th descriptor handed to [`build`].
 ///
-/// The index is *incrementally maintainable*: [`insert`] and [`remove`]
-/// update a single slot without re-fingerprinting the rest of the
-/// population, and the resulting bucket map is identical to a fresh
-/// [`build`] over the equivalent descriptor list (property-tested in
+/// The index is *incrementally maintainable*: [`set`] updates a single
+/// slot without re-fingerprinting the rest of the population, and the
+/// resulting bucket map is identical to a fresh [`build`] over the
+/// equivalent descriptor list (property-tested in
 /// `tests/matching_properties.rs`). The canonical bucket order is
 /// ascending-by-smallest-member-index, which coincides with `build`'s
 /// first-seen order because a bucket's first-seen member *is* its smallest
 /// index during the ascending build scan.
 ///
 /// [`build`]: FingerprintIndex::build
-/// [`insert`]: FingerprintIndex::insert
-/// [`remove`]: FingerprintIndex::remove
+/// [`set`]: FingerprintIndex::set
 #[derive(Debug, Clone)]
 pub struct FingerprintIndex {
     /// One fingerprint per module, `None` where no descriptor was available.
@@ -598,24 +609,13 @@ impl FingerprintIndex {
         self.fingerprints.get(idx).and_then(|fp| fp.as_ref())
     }
 
-    /// Sets slot `idx` to `descriptor`'s fingerprint, moving it between
-    /// buckets as needed (growing the index when `idx` is past the end).
-    /// This is the single-slot analogue of rebuilding with the descriptor
-    /// list changed at `idx` — a provider re-registering a module, or an
-    /// ontology edit changing one module's partition sets.
-    pub fn insert(&mut self, idx: usize, descriptor: &ModuleDescriptor, ontology: &Ontology) {
-        self.set(idx, Some(PartitionFingerprint::of(descriptor, ontology)));
-    }
-
-    /// Clears slot `idx` (a withdrawn module): it leaves its bucket and
-    /// compares with nothing until re-inserted. No-op past the end.
-    pub fn remove(&mut self, idx: usize) {
-        if idx < self.fingerprints.len() {
-            self.set(idx, None);
-        }
-    }
-
-    fn set(&mut self, idx: usize, fp: Option<PartitionFingerprint>) {
+    /// Sets slot `idx` to fingerprint `fp`, moving it between buckets as
+    /// needed (growing the index when `idx` is past the end); `None` clears
+    /// the slot, which then compares with nothing. This is the single-slot
+    /// analogue of rebuilding with the descriptor list changed at `idx` — a
+    /// withdrawn or restored module, or an ontology edit changing one
+    /// module's partition sets.
+    pub fn set(&mut self, idx: usize, fp: Option<PartitionFingerprint>) {
         if idx >= self.fingerprints.len() {
             self.fingerprints.resize(idx + 1, None);
         }
@@ -656,13 +656,16 @@ impl FingerprintIndex {
         self.ordered_buckets().into_iter()
     }
 
+    /// The sorted members of the bucket keyed by `fp` (empty when no slot
+    /// carries it).
+    pub fn members(&self, fp: &PartitionFingerprint) -> &[usize] {
+        self.members.get(fp).map(Vec::as_slice).unwrap_or(&[])
+    }
+
     /// The bucket containing `idx` — every module it is mutually comparable
     /// with (including `idx` itself). Empty when the slot is vacant.
     pub fn peers(&self, idx: usize) -> &[usize] {
-        self.fingerprint(idx)
-            .and_then(|fp| self.members.get(fp))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.fingerprint(idx).map_or(&[], |fp| self.members(fp))
     }
 
     /// Number of distinct fingerprints observed.
@@ -916,12 +919,6 @@ impl<'a> MatchSession<'a> {
     /// level up and counts whole generations, not invocations).
     pub fn invocation_stats(&self) -> InvocationCacheStats {
         self.invocations.stats()
-    }
-
-    /// Snapshot of the session's transient-retry accounting (zero everywhere
-    /// unless the config enabled a retry policy and transients occurred).
-    pub fn retry_stats(&self) -> RetryStats {
-        self.retrier.stats()
     }
 
     /// Number of memoized `(module, value_offset)` generation results.

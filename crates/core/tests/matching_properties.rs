@@ -1,7 +1,9 @@
 //! Matching invariants checked across the whole synthetic universe.
 
 use dex_core::matching::{map_parameters, MappingMode};
-use dex_core::{compare_modules, FingerprintIndex, GenerationConfig, MatchVerdict};
+use dex_core::{
+    compare_modules, FingerprintIndex, GenerationConfig, MatchVerdict, PartitionFingerprint,
+};
 use dex_modules::{ModuleDescriptor, ModuleKind, Parameter};
 use dex_pool::build_synthetic_pool;
 use dex_values::StructuralType;
@@ -124,9 +126,9 @@ fn shaped_descriptor(slot: usize, shape: u64) -> ModuleDescriptor {
 }
 
 proptest! {
-    /// Incremental maintenance contract (ISSUE 7): any interleaving of
-    /// `FingerprintIndex::insert` / `remove` calls leaves the index
-    /// observationally identical to a fresh `build` over the same final
+    /// Incremental maintenance contract: any sequence of
+    /// `FingerprintIndex::set` calls, assigning or clearing slots, leaves
+    /// the index observationally identical to a fresh `build` over the same final
     /// slot assignment — per-slot fingerprints, canonical bucket order,
     /// bucket stats, and both pair worklists included.
     #[test]
@@ -157,11 +159,11 @@ proptest! {
         for &(sel, shape) in &ops {
             let slot = (sel as usize) % slots;
             if shape % 4 == 0 {
-                live.remove(slot);
+                live.set(slot, None);
                 assigned[slot] = None;
             } else {
                 let d = shaped_descriptor(slot, shape);
-                live.insert(slot, &d, &ontology);
+                live.set(slot, Some(PartitionFingerprint::of(&d, &ontology)));
                 assigned[slot] = Some(d);
             }
 

@@ -44,7 +44,7 @@ use crate::proto::{
 use dex_core::delta::Delta;
 use dex_core::GenerationConfig;
 use dex_experiments::IncrementalPipeline;
-use dex_modules::ModuleId;
+use dex_modules::{panic_message, ModuleId};
 use dex_pool::{build_synthetic_pool, build_text_pool, InstancePool};
 use dex_universe::scale::{build_scaled, ScalePlan};
 use dex_universe::Universe;
@@ -172,15 +172,6 @@ fn build_world(cfg: &ServiceConfig) -> (Universe, InstancePool) {
 /// by construction, not by the poison flag.
 fn lock_mutex<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Best-effort rendering of a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("opaque panic payload")
 }
 
 impl Dexd {

@@ -37,7 +37,7 @@ pub use continuous::{
     run_continuous, ContinuousConfig, ContinuousReport, ContinuousState, WaveReport,
 };
 pub use faults::FaultConfig;
-pub use incremental::IncrementalPipeline;
+pub use incremental::{IncrementalPipeline, SubstituteAnswer};
 pub use parallel::{BatchConfig, BlockedMatchMatrix, BlockedMatchSummary};
 pub use telemetry::TelemetryRun;
 

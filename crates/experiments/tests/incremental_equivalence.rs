@@ -1,19 +1,22 @@
-//! The incremental engine's correctness contract (ISSUE 7): after *any*
-//! seeded sequence of deltas — pool inserts/removals, module
+//! The incremental engine's correctness contract: after *any* seeded
+//! sequence of deltas — pool inserts/removals, module
 //! withdrawals/restorations, ontology edge additions, in any batching —
-//! the maintained generation reports and matching matrix are byte-identical
-//! to a cold full pipeline run over the same final state. A second
-//! property pins the same equivalence with seeded transient faults
-//! injected into every module, riding on the retry layer to converge.
+//! the maintained generation reports, matching matrix and live substitute
+//! rankings are byte-identical to a cold full pipeline run over the same
+//! final state. Further properties pin the same equivalence with seeded
+//! transient faults injected into every module (riding on the retry layer
+//! to converge) and with modules whose code panics on some inputs (contained
+//! at the invoke boundary as permanent errors).
 
-use dex_core::{GenerationConfig, MatchReport};
+use dex_core::{GenerationConfig, MatchOutcome, MatchReport, MatchVerdict};
 use dex_experiments::parallel::{generate_fleet, match_pairs_blocked, BatchConfig};
 use dex_experiments::IncrementalPipeline;
 use dex_modules::{
-    FaultPlan, FaultyModule, FnModule, InvocationError, ModuleDescriptor, ModuleKind, Parameter,
-    Retrier, RetryPolicy, SharedModule,
+    FaultPlan, FaultyModule, FnModule, InvocationError, ModuleDescriptor, ModuleId, ModuleKind,
+    Parameter, Retrier, RetryPolicy, SharedModule,
 };
 use dex_pool::{build_synthetic_pool, AnnotatedInstance, InstancePool};
+use dex_repair::substitute_rank;
 use dex_universe::Universe;
 use dex_values::{StructuralType, Value};
 use proptest::prelude::*;
@@ -34,9 +37,21 @@ const CONCEPTS: &[&str] = &[
 
 const MODULES: usize = 8;
 
-/// Deterministic black-box behavior, scrambled by `salt` (same digest
-/// construction as the generation-equivalence suite).
-fn mini_module(slot: usize, inputs: &[usize], salt: u64, reject_pct: u64) -> FnModule {
+/// How the mini modules misbehave: the share of salted inputs each one
+/// rejects, the share on which its code panics, and optional seeded
+/// transient faults `(seed, rate %)` injected around it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Misbehavior {
+    reject_pct: u64,
+    panic_pct: u64,
+    faults: Option<(u64, u32)>,
+}
+
+/// Deterministic black-box behavior: a digest of the inputs, scrambled by
+/// `salt` on half of them. Same-shaped modules therefore agree on some
+/// examples and not others (overlapping verdicts), and equal salts agree on
+/// all of them (equivalent verdicts), so a lost or misplaced verdict shows.
+fn mini_module(slot: usize, inputs: &[usize], salt: u64, misbehavior: Misbehavior) -> FnModule {
     let params: Vec<Parameter> = inputs
         .iter()
         .enumerate()
@@ -55,7 +70,7 @@ fn mini_module(slot: usize, inputs: &[usize], salt: u64, reject_pct: u64) -> FnM
             )],
         ),
         move |values| {
-            let mut acc = salt;
+            let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
             for v in values {
                 if let Some(t) = v.as_text() {
                     for b in t.bytes() {
@@ -63,10 +78,18 @@ fn mini_module(slot: usize, inputs: &[usize], salt: u64, reject_pct: u64) -> FnM
                     }
                 }
             }
-            if acc % 100 < reject_pct {
+            let out = if acc.is_multiple_of(2) {
+                acc
+            } else {
+                acc ^ salt
+            };
+            if out % 100 < misbehavior.reject_pct {
                 return Err(InvocationError::rejected("salted rejection"));
             }
-            Ok(vec![Value::text(format!("{acc:016x}"))])
+            if out % 100 >= 100 - misbehavior.panic_pct {
+                panic!("salted module panic");
+            }
+            Ok(vec![Value::text(format!("{out:016x}"))])
         },
     )
 }
@@ -90,8 +113,7 @@ fn shape_for(slot: usize, shape_salt: u64) -> Vec<usize> {
 fn mini_world(
     shape_salt: u64,
     behavior_salt: u64,
-    reject_pct: u64,
-    faults: Option<(u64, u32)>,
+    misbehavior: Misbehavior,
 ) -> (Universe, InstancePool) {
     let ontology = dex_ontology::mygrid::ontology();
     let mut catalog = dex_modules::ModuleCatalog::new();
@@ -100,10 +122,12 @@ fn mini_world(
         let module = mini_module(
             slot,
             &inputs,
-            behavior_salt ^ (slot as u64).wrapping_mul(0x9e37_79b9),
-            reject_pct,
+            // Two salts: slots 0 and 6 (shape class 0) and 1 and 7
+            // (class 1) behave identically.
+            behavior_salt ^ ((slot % 2) as u64).wrapping_mul(0x9e37_79b9),
+            misbehavior,
         );
-        let shared: SharedModule = match faults {
+        let shared: SharedModule = match misbehavior.faults {
             None => Arc::new(module),
             Some((fault_seed, fault_rate_pct)) => Arc::new(FaultyModule::new(
                 Arc::new(module) as SharedModule,
@@ -187,26 +211,55 @@ fn replay_cold(universe: &mut Universe, pool: &mut InstancePool, deltas: &[Delta
     }
 }
 
+/// The substitute ranking the cold matrix implies for `target`: how many
+/// of its row's pairs bear a verdict, and its usable verdicts ordered by
+/// descending study rank, then by candidate id.
+fn cold_substitutes(
+    cold: &BTreeMap<(ModuleId, ModuleId), MatchReport>,
+    target: &ModuleId,
+) -> (usize, Vec<(ModuleId, MatchVerdict)>) {
+    let verdicts: Vec<(ModuleId, MatchVerdict)> = cold
+        .values()
+        .filter(|r| &r.target == target)
+        .filter_map(|r| match r.outcome {
+            MatchOutcome::Verdict(v) => Some((r.candidate.clone(), v)),
+            MatchOutcome::Incomparable(_) => None,
+        })
+        .collect();
+    let mut ranked: Vec<(ModuleId, MatchVerdict)> = verdicts
+        .iter()
+        .filter(|(_, v)| v.is_usable())
+        .cloned()
+        .collect();
+    ranked.sort_by(|a, b| {
+        substitute_rank(&b.1)
+            .partial_cmp(&substitute_rank(&a.1))
+            .expect("ranks are finite")
+            .then_with(|| a.0.cmp(&b.0))
+    });
+    (verdicts.len(), ranked)
+}
+
 /// Drives one full case: bootstrap the engine, apply the op words in
-/// batches, and after every batch compare reports and matrix against a
-/// cold full run over the identically-replayed state.
+/// batches, and after every batch compare reports, matrix and every
+/// available module's live substitute ranking against a cold full run over
+/// the identically-replayed state.
 fn check_equivalence(
     shape_salt: u64,
     behavior_salt: u64,
-    reject_pct: u64,
+    misbehavior: Misbehavior,
     ops: &[u64],
     batch_len: usize,
-    faults: Option<(u64, u32)>,
 ) {
     let config = GenerationConfig {
-        retry: if faults.is_some() {
+        retry: if misbehavior.faults.is_some() {
             RetryPolicy::transient(4)
         } else {
             RetryPolicy::none()
         },
         ..GenerationConfig::default()
     };
-    let (universe, pool) = mini_world(shape_salt, behavior_salt, reject_pct, faults);
+    let (universe, pool) = mini_world(shape_salt, behavior_salt, misbehavior);
     let mut engine = IncrementalPipeline::bootstrap(universe, pool, config.clone());
 
     let deltas: Vec<Delta> = ops
@@ -221,7 +274,7 @@ fn check_equivalence(
         applied += batch.len();
 
         // Cold oracle over the identically-replayed state.
-        let (mut cold_u, mut cold_p) = mini_world(shape_salt, behavior_salt, reject_pct, faults);
+        let (mut cold_u, mut cold_p) = mini_world(shape_salt, behavior_salt, misbehavior);
         replay_cold(&mut cold_u, &mut cold_p, &deltas[..applied]);
 
         let retrier = Retrier::new(config.retry);
@@ -245,6 +298,21 @@ fn check_equivalence(
             cold,
             "incremental matrix diverged from cold run after {applied} deltas"
         );
+
+        // The live row scan `dexd` serves agrees with the cold row.
+        for id in &ids {
+            let answer = engine.substitutes(id).expect("available ids are tracked");
+            let (compared, ranked) = cold_substitutes(&cold, id);
+            assert!(answer.available, "{id} is available");
+            assert_eq!(
+                answer.candidates_compared, compared,
+                "{id}: verdict count diverged from the cold row after {applied} deltas"
+            );
+            assert_eq!(
+                answer.ranked, ranked,
+                "{id}: substitute ranking diverged from the cold row after {applied} deltas"
+            );
+        }
     }
 
     // The carried-forward study covers every withdrawal seen, and only
@@ -255,6 +323,10 @@ fn check_equivalence(
             assert!(v.is_usable());
         }
     }
+
+    // Contained panics never left a shard lock poisoned: the audit locks
+    // every shard.
+    assert_eq!(engine.invocation_cache().memoized_transients(), 0);
 }
 
 proptest! {
@@ -267,7 +339,8 @@ proptest! {
         ops in proptest::collection::vec(any::<u64>(), 1..9),
         batch_len in 1usize..4,
     ) {
-        check_equivalence(shape_salt, behavior_salt, reject_pct, &ops, batch_len, None);
+        let misbehavior = Misbehavior { reject_pct, ..Misbehavior::default() };
+        check_equivalence(shape_salt, behavior_salt, misbehavior, &ops, batch_len);
     }
 
     /// Same contract with bounded transient faults injected into every
@@ -285,13 +358,27 @@ proptest! {
         ops in proptest::collection::vec(any::<u64>(), 1..7),
         batch_len in 1usize..3,
     ) {
-        check_equivalence(
-            shape_salt,
-            behavior_salt,
+        let misbehavior = Misbehavior {
             reject_pct,
-            &ops,
-            batch_len,
-            Some((fault_seed, fault_rate_pct)),
-        );
+            faults: Some((fault_seed, fault_rate_pct)),
+            ..Misbehavior::default()
+        };
+        check_equivalence(shape_salt, behavior_salt, misbehavior, &ops, batch_len);
+    }
+
+    /// Same contract with module code that panics on a salted share of its
+    /// inputs, through bootstrap and every apply: each panic is contained
+    /// at the invoke boundary as a permanent, memoized error, so the engine
+    /// and the cold oracle agree on every outcome it touches.
+    #[test]
+    fn incremental_matches_cold_run_with_panicking_modules(
+        shape_salt in any::<u64>(),
+        behavior_salt in any::<u64>(),
+        panic_pct in 1u64..40,
+        ops in proptest::collection::vec(any::<u64>(), 1..7),
+        batch_len in 1usize..3,
+    ) {
+        let misbehavior = Misbehavior { panic_pct, ..Misbehavior::default() };
+        check_equivalence(shape_salt, behavior_salt, misbehavior, &ops, batch_len);
     }
 }

@@ -19,7 +19,7 @@
 //! entry so the next lookup invokes afresh.
 
 use crate::blackbox::BlackBox;
-use crate::invoke::InvocationError;
+use crate::invoke::{invoke_contained, InvocationError};
 use crate::module::ModuleId;
 use dex_values::Value;
 use serde::{Deserialize, Serialize};
@@ -219,7 +219,7 @@ impl InvocationCache {
         // `get_or_init` runs the invocation at most once per cell; racing
         // readers block here until the winner's outcome is published.
         let outcome = Arc::clone(cell.get_or_init(|| {
-            let outcome = Arc::new(module.invoke(inputs));
+            let outcome = Arc::new(invoke_contained(module, inputs));
             if dex_telemetry::flight_on() {
                 let detail = match outcome.as_ref() {
                     Ok(values) => format!("ok ({} outputs)", values.len()),

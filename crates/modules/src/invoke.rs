@@ -1,6 +1,10 @@
-//! Invocation outcomes.
+//! Invocation outcomes, and the one place module code is called.
 
+use crate::blackbox::BlackBox;
+use crate::cache::InvocationOutcome;
+use dex_values::Value;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Why a module invocation failed to terminate normally.
 ///
@@ -24,6 +28,12 @@ pub enum InvocationError {
     Unavailable,
     /// The module crashed on the inputs.
     Fault { reason: String },
+    /// The module's code panicked on the inputs. Module code is a pure
+    /// function of its inputs, so the panic will recur: the error is
+    /// permanent (memoized, never retried), unlike a [`Fault`].
+    ///
+    /// [`Fault`]: InvocationError::Fault
+    Panicked { reason: String },
 }
 
 impl fmt::Display for InvocationError {
@@ -42,6 +52,7 @@ impl fmt::Display for InvocationError {
                 write!(f, "module is no longer supplied by its provider")
             }
             InvocationError::Fault { reason } => write!(f, "module fault: {reason}"),
+            InvocationError::Panicked { reason } => write!(f, "module panicked: {reason}"),
         }
     }
 }
@@ -84,6 +95,30 @@ impl InvocationError {
     pub fn is_permanent(&self) -> bool {
         !self.is_transient()
     }
+}
+
+/// Calls `module` on `inputs` with a panic in module code contained: the
+/// unwind stops here and becomes [`InvocationError::Panicked`]. Both
+/// [`Retrier::invoke`](crate::Retrier::invoke) and the
+/// [`InvocationCache`](crate::InvocationCache) call modules through here, so
+/// a crashing module fails one invocation like a rejecting one instead of
+/// unwinding through the pipeline stage (and any lock or half-applied
+/// update) above it.
+pub(crate) fn invoke_contained(module: &dyn BlackBox, inputs: &[Value]) -> InvocationOutcome {
+    catch_unwind(AssertUnwindSafe(|| module.invoke(inputs))).unwrap_or_else(|payload| {
+        Err(InvocationError::Panicked {
+            reason: panic_message(payload.as_ref()).to_string(),
+        })
+    })
+}
+
+/// Best-effort rendering of a panic payload.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("opaque panic payload")
 }
 
 #[cfg(test)]

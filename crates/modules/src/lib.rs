@@ -48,7 +48,7 @@ pub use blackbox::{BlackBox, FnModule, SharedModule};
 pub use cache::{InvocationCache, InvocationCacheStats, InvocationOutcome};
 pub use catalog::ModuleCatalog;
 pub use fault::{FaultInjector, FaultPlan, FaultStats, FaultyModule, FlapWindow};
-pub use invoke::InvocationError;
+pub use invoke::{panic_message, InvocationError};
 pub use module::{ModuleDescriptor, ModuleId, ModuleKind};
 pub use param::Parameter;
 pub use retry::{invoke_all_retrying, Retrier, RetryPolicy, RetryStats};

@@ -13,6 +13,7 @@
 
 use crate::blackbox::BlackBox;
 use crate::cache::{InvocationCache, InvocationOutcome};
+use crate::invoke::invoke_contained;
 use dex_values::Value;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
@@ -280,7 +281,7 @@ impl Retrier {
     /// policy. The final outcome (success, permanent error, or the transient
     /// error that survived every attempt) is returned.
     pub fn invoke(&self, module: &dyn BlackBox, inputs: &[Value]) -> InvocationOutcome {
-        self.run(module, || module.invoke(inputs))
+        self.run(module, || invoke_contained(module, inputs))
     }
 
     /// Invokes `module` through `cache`, retrying transient failures.
@@ -420,6 +421,46 @@ mod tests {
         assert!(matches!(out, Err(InvocationError::Rejected { .. })));
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert_eq!(retrier.stats().retries, 0);
+    }
+
+    #[test]
+    fn panics_are_contained_as_permanent_memoized_errors() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        let module = FnModule::new(
+            ModuleDescriptor::new(
+                "op:panics",
+                "Panics",
+                ModuleKind::RestService,
+                vec![Parameter::required("in", StructuralType::Text, "Document")],
+                vec![Parameter::required("out", StructuralType::Text, "Document")],
+            ),
+            move |_| {
+                seen.fetch_add(1, Ordering::Relaxed);
+                panic!("module bug");
+            },
+        );
+        let retrier = Retrier::new(RetryPolicy::transient(5));
+        let direct = retrier.invoke(&module, &[Value::text("x")]);
+        assert_eq!(
+            direct,
+            Err(InvocationError::Panicked {
+                reason: "module bug".to_string()
+            })
+        );
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "never retried");
+
+        let cache = InvocationCache::new();
+        for _ in 0..3 {
+            let out = retrier.invoke_cached(&cache, &module, &[Value::text("x")]);
+            assert!(matches!(*out, Err(InvocationError::Panicked { .. })));
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "memoized after one call");
+        assert_eq!(retrier.stats().retries, 0);
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.hits, stats.misses), (1, 2, 1));
+        // No shard lock was poisoned: the audit locks every shard.
+        assert_eq!(cache.memoized_transients(), 0);
     }
 
     #[test]
